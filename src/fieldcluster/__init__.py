@@ -35,7 +35,7 @@ from .pointcloud import (
     load_ply,
     save_ply,
 )
-from .spatial import SpatialIndex, build_index
+from .spatial import SpatialIndex
 from .synth import FieldSpec, generate_field, generate_plant, parse_field_spec
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "ContractError", "DataError", "FieldClusterError", "ParameterError", "PlyError",
     "CountReport", "MatchReport", "count_report", "iou", "match_clusters",
     "PointCloud", "color_to_label", "label_to_color", "load_ply", "save_ply",
-    "SpatialIndex", "build_index",
+    "SpatialIndex",
     "FieldSpec", "generate_field", "generate_plant", "parse_field_spec",
     "__version__",
 ]

@@ -244,7 +244,7 @@ def _bench_spec(n: int, seed: int) -> FieldSpec:
 @click.option("--d", type=float, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--beta", type=float, default=None)
-@click.option("--repeats", type=int, default=3, show_default=True)
+@click.option("--repeats", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--threads", type=int, default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
@@ -270,7 +270,7 @@ def cmd_bench(sizes, algo, d, k, beta, repeats, seed, threads, report_path):
             field = generate_field(_bench_spec(n, seed))
             cluster(field, params, workers=_workers(threads))
             times = []
-            for _ in range(max(1, repeats)):
+            for _ in range(repeats):
                 start = time.perf_counter()
                 cluster(field, params, workers=_workers(threads))
                 times.append(time.perf_counter() - start)

@@ -68,13 +68,6 @@ class DensityField:
     sweep_rank: np.ndarray = field(init=False)
     parent_rank: np.ndarray = field(init=False)
 
-    def window_indices(self, workers: int = 1) -> np.ndarray:
-        """The raw k-NN windows behind rho; computed lazily when not cached."""
-        if self.knn_idx is None:
-            _, idx = self.index2d.knn_window(self.k, workers=workers, return_indices=True)
-            object.__setattr__(self, "knn_idx", idx)
-        return self.knn_idx
-
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=np.float64)
         rho.setflags(write=False)
@@ -117,9 +110,6 @@ class ParentForest:
     @property
     def n(self) -> int:
         return self.parent.shape[0]
-
-    def roots(self) -> np.ndarray:
-        return np.flatnonzero(self.parent == np.arange(self.n))
 
 
 @dataclass(frozen=True)
@@ -298,8 +288,10 @@ def _mutual_edges(density: DensityField, workers: int):
     n = density.n
     if n >= 1 << 31:
         raise DataError("clouds beyond 2^31 points are not supported")
-    offsets, flat = density.index2d.directed_radius_lists(
-        density.rho, density.window_indices(workers), workers=workers)
+    knn_idx = density.knn_idx
+    if knn_idx is None:
+        _, knn_idx = density.index2d.knn_window(density.k, workers=workers, return_indices=True)
+    offsets, flat = density.index2d.directed_radius_lists(density.rho, knn_idx)
     owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
     codes = np.where(owner < flat, owner * n + flat, flat * n + owner)
     codes.sort(kind="stable")

@@ -101,15 +101,16 @@ def labels_for_colors(rgb: np.ndarray, mode: str = "palette") -> np.ndarray:
 class PointCloud:
     """Ordered 3D points with an optional per-point label array.
 
-    Immutable after construction; the backing arrays are marked read-only so
-    a cloud can be shared freely across threads.
+    Immutable after construction; the backing arrays are read-only private
+    copies, so a cloud can be shared freely across threads and the caller's
+    arrays stay writable.
     """
 
     points: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
+        pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.size == 0:
             pts = pts.reshape(0, 3)
         if pts.ndim != 2 or pts.shape[1] != 3:
@@ -120,7 +121,7 @@ class PointCloud:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+            lab = np.array(self.labels, dtype=np.int64, order="C")
             if lab.shape != (pts.shape[0],):
                 raise DataError(
                     f"labels length {lab.shape} does not match {pts.shape[0]} points"

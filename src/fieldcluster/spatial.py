@@ -6,14 +6,15 @@ rely on:
 * all distance comparisons happen in exact squared-distance space, computed
   with the same numpy operations the brute-force test oracles use, so the
   tree path and an O(n^2) scan are bit-for-bit interchangeable;
-* radius queries are strict (``dist < d``) and results are ordered by
-  (distance, index);
+* balls are open (``dist < d``);
 * ties anywhere are broken by the smaller original point index.
 
-Bulk searches expand per-point k-NN windows (1, 4, 16, ... nearest) instead
-of materializing neighbor balls, resolving each point as soon as its window
-provably contains the answer; windows come back from scipy as arrays, which
-keeps the inner loops vectorized.
+Per-point k-NN windows (the kk nearest points, self included, with their
+exact squared distances) come from one chunked query loop. The rank-directed
+searches grow the windows 4x per round instead of materializing neighbor
+balls, resolving each point as soon as its window provably contains the
+answer; windows come back from scipy as arrays, which keeps the inner loops
+vectorized.
 
 The index is read-only after construction; queries may run from any number
 of threads (``workers`` forwards to scipy's parallel query dispatch and has
@@ -21,8 +22,6 @@ no effect on results).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -34,10 +33,10 @@ _CHUNK_ELEMS = 4_000_000
 
 
 class SpatialIndex:
-    """Balanced kD-tree over an immutable snapshot of 2D or 3D coordinates."""
+    """Balanced kD-tree over a read-only private copy of 2D or 3D coordinates."""
 
     def __init__(self, points: np.ndarray):
-        pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
+        pts = np.array(points, dtype=np.float64, order="C")
         if pts.size == 0:
             pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 and pts.shape[1] in (2, 3) else 3)
         if pts.ndim != 2 or pts.shape[1] not in (2, 3):
@@ -48,7 +47,6 @@ class SpatialIndex:
         pts.setflags(write=False)
         self.points = pts
         self.n = pts.shape[0]
-        self.dim = pts.shape[1]
         self._tree = cKDTree(pts) if self.n else None
 
     # ---------------------------------------------------------------- helpers
@@ -65,96 +63,56 @@ class SpatialIndex:
         keep = (self._sq_dist_to(self.points[i], cand) <= rho) & (cand != i)
         return cand[keep]
 
-    # ------------------------------------------------------------ point-level
+    def _windows(self, members: np.ndarray, kk: int, workers: int):
+        """Yield (sub, idx, d2) chunks covering ``members``: idx[r] holds the
+        kk nearest points of sub[r] (itself included) and d2[r] their exact
+        squared distances."""
+        rows = max(1, _CHUNK_ELEMS // kk)
+        for start in range(0, members.shape[0], rows):
+            sub = members[start:start + rows]
+            _, idx = self._tree.query(self.points[sub], k=kk, workers=workers)
+            idx = np.atleast_2d(idx).astype(np.int64, copy=False)
+            yield sub, idx, self._sq_dist_to(self.points[sub][:, None, :], idx)
 
-    def radius_neighbors(self, q, d: float) -> np.ndarray:
-        """Indices with strict Euclidean distance < d from q, ordered by (distance, index)."""
-        if not d > 0:
-            raise ParameterError(f"radius d must be positive, got {d}")
-        if self.n == 0:
-            return np.empty(0, dtype=np.int64)
-        q = np.asarray(q, dtype=np.float64)
-        cand = np.asarray(self._tree.query_ball_point(q, d * (1.0 + 1e-12)), dtype=np.int64)
-        if cand.size == 0:
-            return cand
-        d2 = self._sq_dist_to(q, cand)
-        keep = d2 < d * d
-        cand, d2 = cand[keep], d2[keep]
-        return cand[np.lexsort((cand, d2))]
+    def _expand(self, members: np.ndarray, kk: int, workers: int, resolve) -> None:
+        """Grow the windows of unresolved members 4x per round, starting at kk.
 
-    def kth_neighbor_distance(self, query_index: int, k: int) -> float:
-        """Distance from a cloud member to its k-th nearest other point."""
-        rho, _ = self.knn_window(k, subset=np.asarray([query_index]))
-        return float(np.sqrt(rho[0]))
-
-    def nearest_satisfying(self, query_index: int, accept: Callable[[int], bool]) -> int | None:
-        """Nearest other point whose index the predicate accepts; ties to smaller index.
-
-        Expands a 2, 4, 8, ... nearest enumeration until an accepted point is
-        certain or the cloud is exhausted; returns None if nothing qualifies.
+        ``resolve(sub, idx, d2, exhausted)`` records the answers a chunk's
+        windows settle and returns the mask of settled rows; ``exhausted``
+        means the windows hold the whole cloud, and every row must settle then.
         """
-        if self.n == 0:
-            return None
-        q = self.points[query_index]
-        kk = 2
-        while True:
+        active = members
+        while active.size:
             kk = min(kk, self.n)
-            _, idx = self._tree.query(q, k=kk)
-            idx = np.atleast_1d(idx).astype(np.int64)
-            d2 = self._sq_dist_to(q, idx)
-            order = np.lexsort((idx, d2))
-            idx, d2 = idx[order], d2[order]
-            window_max = d2[-1]
-            best = None
-            for j, dd in zip(idx.tolist(), d2.tolist()):
-                if j == query_index:
-                    continue
-                if accept(j):
-                    best = (dd, j)
-                    break
-            exhausted = kk >= self.n
-            if best is not None and (best[0] < window_max or exhausted):
-                return best[1]
-            if exhausted:
-                return None
-            kk *= 2
+            done = [resolve(sub, idx, d2, kk >= self.n)
+                    for sub, idx, d2 in self._windows(active, kk, workers)]
+            active = active[~np.concatenate(done)]
+            kk *= 4
 
     # ------------------------------------------------------------- bulk kNN
 
-    def knn_window(self, k: int, subset: np.ndarray | None = None, workers: int = 1,
-                   return_indices: bool = False):
-        """Per-member k-NN radius, optionally with the raw neighbor windows.
+    def knn_window(self, k: int, workers: int = 1, return_indices: bool = False):
+        """Per-point k-NN radius, optionally with the raw neighbor windows.
 
         Returns (rho, idx): rho[i] is the squared distance to the k-th nearest
         other point (the k-th order statistic of the squared-distance multiset
         including self equals the k-th excluding self, so coincident
-        duplicates need no special casing); idx is the (m, min(n, k+2))
+        duplicates need no special casing); idx is the (n, min(n, k+2))
         neighbor-index window when requested, else None.
         """
         if int(k) != k or not 1 <= k <= self.n - 1:
             raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {self.n - 1}, got {k}")
-        members = np.arange(self.n, dtype=np.int64) if subset is None else subset
         kq = min(self.n, k + 2)
-        rho = np.empty(members.shape[0], dtype=np.float64)
-        all_idx = np.empty((members.shape[0], kq), dtype=np.int32) if return_indices else None
-        rows = max(1, _CHUNK_ELEMS // kq)
-        for start in range(0, members.shape[0], rows):
-            sub = members[start:start + rows]
-            _, idx = self._tree.query(self.points[sub], k=kq, workers=workers)
-            idx = np.atleast_2d(idx).astype(np.int64, copy=False)
-            d2 = self._sq_dist_to(self.points[sub][:, None, :], idx)
-            rho[start:start + sub.shape[0]] = np.sort(d2, axis=1)[:, k]
+        rho = np.empty(self.n, dtype=np.float64)
+        all_idx = np.empty((self.n, kq), dtype=np.int32) if return_indices else None
+        for sub, idx, d2 in self._windows(np.arange(self.n, dtype=np.int64), kq, workers):
+            rho[sub] = np.sort(d2, axis=1)[:, k]
             if return_indices:
-                all_idx[start:start + sub.shape[0]] = idx
+                all_idx[sub] = idx
         return rho, all_idx
 
-    def kth_sq_distances(self, k: int, subset: np.ndarray | None = None,
-                         workers: int = 1) -> np.ndarray:
-        """Squared distance to the k-th nearest other point, for each member."""
-        return self.knn_window(k, subset=subset, workers=workers)[0]
-
-    def directed_radius_lists(self, rho: np.ndarray, knn_idx: np.ndarray,
-                              workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def directed_radius_lists(self, rho: np.ndarray,
+                              knn_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR lists of {j != i : dist^2(i, j) <= rho[i]} for every member i.
 
         Filters the provided k-NN windows; rows whose window might cut a tie
@@ -208,29 +166,16 @@ class SpatialIndex:
         order = np.empty(n, dtype=np.int64)
         order[rank] = np.arange(n)
         out = np.empty(n, dtype=np.int64)
-        if n == 0:
-            return out
         cap = d * d
-        active = np.arange(n, dtype=np.int64)
-        kk = 8
-        while active.size:
-            kk = min(kk, n)
-            rows = max(1, _CHUNK_ELEMS // kk)
-            keep_active = []
-            for cstart in range(0, active.size, rows):
-                sub = active[cstart:cstart + rows]
-                _, idx = self._tree.query(self.points[sub], k=kk, workers=workers)
-                idx = np.atleast_2d(idx).astype(np.int64, copy=False)
-                d2 = self._sq_dist_to(self.points[sub][:, None, :], idx)
-                in_ball = d2 < cap
-                best = np.where(in_ball, rank[idx], n).min(axis=1)
-                done = (d2.max(axis=1) >= cap) | (kk >= n)
-                out[sub[done]] = order[best[done]]
-                keep_active.append(~done)
-            active = active[np.concatenate(keep_active)]
-            if kk >= n:
-                break
-            kk *= 4
+
+        def resolve(sub, idx, d2, exhausted):
+            # a window reaching the ball's edge holds the whole ball
+            best = np.where(d2 < cap, rank[idx], n).min(axis=1)
+            done = (d2.max(axis=1) >= cap) | exhausted
+            out[sub[done]] = order[best[done]]
+            return done
+
+        self._expand(np.arange(n, dtype=np.int64), 8, workers, resolve)
         return out
 
     def nearest_below_rank(self, rank: np.ndarray, d: float | None = None,
@@ -241,41 +186,27 @@ class SpatialIndex:
         only those members are resolved (others stay -1)."""
         if d is not None and not d > 0:
             raise ParameterError(f"radius d must be positive, got {d}")
-        out = np.full(self.n, -1, dtype=np.int64)
-        if self.n <= 1:
+        n = self.n
+        out = np.full(n, -1, dtype=np.int64)
+        if n <= 1:
             return out
         cap = np.inf if d is None else d * d
-        active = np.arange(self.n, dtype=np.int64) if subset is None else \
-            np.asarray(subset, dtype=np.int64).copy()
-        kk = 4
-        while active.size:
-            kk = min(kk, self.n)
-            rows = max(1, _CHUNK_ELEMS // kk)
-            keep_active = []
-            for cstart in range(0, active.size, rows):
-                sub = active[cstart:cstart + rows]
-                _, idx = self._tree.query(self.points[sub], k=kk, workers=workers)
-                idx = np.atleast_2d(idx).astype(np.int64, copy=False)
-                d2 = self._sq_dist_to(self.points[sub][:, None, :], idx)
-                ok = (idx != sub[:, None]) & (rank[idx] < rank[sub][:, None]) & (d2 < cap)
-                d2_ok = np.where(ok, d2, np.inf)
-                best_d2 = d2_ok.min(axis=1)
-                cand = np.where(ok & (d2_ok == best_d2[:, None]), idx, self.n)
-                best_idx = cand.min(axis=1)
-                window_max = d2.max(axis=1)
-                exhausted = (kk >= self.n) | (window_max >= cap)
-                found = np.isfinite(best_d2)
-                certain = found & ((best_d2 < window_max) | exhausted)
-                out[sub[certain]] = best_idx[certain]
-                done = certain | (~found & exhausted)
-                keep_active.append(~done)
-            active = active[np.concatenate(keep_active)]
-            if kk >= self.n:
-                break
-            kk *= 4
+
+        def resolve(sub, idx, d2, exhausted):
+            ok = (idx != sub[:, None]) & (rank[idx] < rank[sub][:, None]) & (d2 < cap)
+            d2_ok = np.where(ok, d2, np.inf)
+            best_d2 = d2_ok.min(axis=1)
+            best_idx = np.where(ok & (d2_ok == best_d2[:, None]), idx, n).min(axis=1)
+            # a candidate strictly inside the window cannot be beaten by a
+            # point outside it, which lies at least window_max away
+            window_max = d2.max(axis=1)
+            exhausted = exhausted | (window_max >= cap)
+            found = np.isfinite(best_d2)
+            certain = found & ((best_d2 < window_max) | exhausted)
+            out[sub[certain]] = best_idx[certain]
+            return certain | (~found & exhausted)
+
+        members = np.arange(n, dtype=np.int64) if subset is None else \
+            np.asarray(subset, dtype=np.int64)
+        self._expand(members, 4, workers, resolve)
         return out
-
-
-def build_index(points: np.ndarray) -> SpatialIndex:
-    """Build a balanced, immutable kD-tree index (O(n log n))."""
-    return SpatialIndex(points)

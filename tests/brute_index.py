@@ -12,23 +12,18 @@ class BruteIndex:
         pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
         self.points = pts
         self.n = pts.shape[0]
-        self.dim = pts.shape[1]
         diff = pts[:, None, :] - pts[None, :, :]
         self._d2 = np.einsum("ijk,ijk->ij", diff, diff)
 
-    def knn_window(self, k, subset=None, workers=1, return_indices=False):
-        rows = self._d2 if subset is None else self._d2[subset]
-        rho = np.sort(rows, axis=1)[:, k]
+    def knn_window(self, k, workers=1, return_indices=False):
+        rho = np.sort(self._d2, axis=1)[:, k]
         idx = None
         if return_indices:
             kq = min(self.n, k + 2)
-            idx = np.argsort(rows, axis=1, kind="stable")[:, :kq].astype(np.int32)
+            idx = np.argsort(self._d2, axis=1, kind="stable")[:, :kq].astype(np.int32)
         return rho, idx
 
-    def kth_sq_distances(self, k, subset=None, workers=1):
-        return self.knn_window(k, subset=subset)[0]
-
-    def directed_radius_lists(self, rho, knn_idx, workers=1):
+    def directed_radius_lists(self, rho, knn_idx):
         mask = (self._d2 <= rho[:, None]) & ~np.eye(self.n, dtype=bool)
         owners, flat = np.nonzero(mask)
         offsets = np.zeros(self.n + 1, dtype=np.int64)

@@ -14,32 +14,11 @@ def sq_dist_matrix(points: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def brute_radius(points: np.ndarray, q: np.ndarray, d: float) -> list[int]:
-    """Indices with strict distance < d from q, sorted by (distance, index)."""
-    diff = points - np.asarray(q, dtype=np.float64)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    hits = [(d2[j], j) for j in range(len(points)) if d2[j] < d * d]
-    return [j for _, j in sorted(hits)]
-
-
 def brute_kth_sq(D2: np.ndarray, i: int, k: int) -> float:
     """k-th smallest squared distance from i to another point."""
     others = np.delete(D2[i], i)
     others.sort()
     return float(others[k - 1])
-
-
-def brute_nearest_satisfying(points: np.ndarray, i: int, accept) -> int | None:
-    diff = points - points[i]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    best = None
-    for j in range(len(points)):
-        if j == i or not accept(j):
-            continue
-        key = (d2[j], j)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
 
 
 # ------------------------------------------------------------- forest oracles

@@ -196,6 +196,12 @@ class TestBench:
         assert doc["rows"][0]["ratio"] is None
         assert doc["rows"][1]["ratio"] > 0
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_must_be_positive(self, runner, repeats):
+        result = runner.invoke(main, ["bench", "--sizes", "2000", "--algo", "zqs",
+                                      "--d", "0.1", "--repeats", repeats])
+        assert result.exit_code == 2
+
     def test_sizes_must_ascend(self, runner):
         result = runner.invoke(main, ["bench", "--sizes", "2000,1000", "--algo", "zqs",
                                       "--d", "0.1"])

@@ -75,6 +75,14 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             cloud.labels[0] = 5
 
+    def test_caller_arrays_stay_writable(self):
+        pts, labels = np.zeros((2, 3)), np.array([1, 2])
+        cloud = PointCloud(pts, labels)
+        pts[0, 0] = 7.0
+        labels[0] = 9
+        assert cloud.points[0, 0] == 0.0
+        assert cloud.labels[0] == 1
+
 
 class TestPlyRoundTrip:
     @pytest.mark.parametrize("binary", [False, True])

@@ -1,141 +1,178 @@
 import numpy as np
 import pytest
 
-from fieldcluster import DataError, ParameterError, build_index
+from fieldcluster import DataError, ParameterError, SpatialIndex
 from conftest import make_cloud, make_cloud_with_stems
-from oracles import brute_kth_sq, brute_nearest_satisfying, brute_radius, sq_dist_matrix
+from oracles import brute_kth_sq, sq_dist_matrix
 
 
 LINE3 = np.array([[0.0, 0, 0], [1, 0, 0], [3, 0, 0]])
+IDENTITY3 = np.arange(3)
+
+
+def brute_argmin_rank_in_ball(D2, rank, d):
+    out = []
+    for i in range(len(D2)):
+        nbr = np.flatnonzero(D2[i] < d * d)
+        out.append(int(nbr[np.argmin(rank[nbr])]))
+    return out
+
+
+def brute_nearest_below_rank(D2, rank, d=None, members=None):
+    cap = np.inf if d is None else d * d
+    n = len(D2)
+    out = [-1] * n
+    for i in range(n) if members is None else members:
+        cand = [j for j in range(n) if j != i and rank[j] < rank[i] and D2[i, j] < cap]
+        if cand:
+            out[i] = min(cand, key=lambda j: (D2[i, j], j))
+    return out
 
 
 class TestRadiusNeighbors:
+    """Open d-ball semantics of the two rank queries that read balls."""
+
     def test_basic(self):
-        idx = build_index(LINE3)
-        assert idx.radius_neighbors([0, 0, 0], 1.5).tolist() == [0, 1]
+        idx = SpatialIndex(LINE3)
+        assert idx.argmin_rank_in_ball(np.array([1, 0, 2]), 1.5).tolist() == [1, 1, 2]
+        assert idx.nearest_below_rank(IDENTITY3, d=1.5).tolist() == [-1, 0, -1]
 
     def test_strict_inequality(self):
-        idx = build_index(LINE3)
-        assert idx.radius_neighbors([0, 0, 0], 1.0).tolist() == [0]
+        idx = SpatialIndex(LINE3)
+        # point 1 lies at exactly d = 1 from point 0: outside the open ball
+        assert idx.argmin_rank_in_ball(np.array([1, 0, 2]), 1.0).tolist() == [0, 1, 2]
+        assert idx.nearest_below_rank(IDENTITY3, d=1.0).tolist() == [-1, -1, -1]
+        just_above = np.nextafter(1.0, 2.0)
+        assert idx.argmin_rank_in_ball(np.array([1, 0, 2]), just_above).tolist() == [1, 1, 2]
+        assert idx.nearest_below_rank(IDENTITY3, d=just_above).tolist() == [-1, 0, -1]
 
     def test_far_query_empty(self):
-        idx = build_index(LINE3)
-        assert idx.radius_neighbors([100, 0, 0], 5.0).size == 0
+        idx = SpatialIndex(LINE3)
+        assert idx.nearest_below_rank(IDENTITY3, d=0.5).tolist() == [-1, -1, -1]
 
     def test_self_included_for_members(self):
-        idx = build_index(LINE3)
-        assert 1 in idx.radius_neighbors(LINE3[1], 0.5).tolist()
+        idx = SpatialIndex(LINE3)
+        assert idx.argmin_rank_in_ball(np.array([2, 1, 0]), 0.5).tolist() == [0, 1, 2]
 
     def test_d_nonpositive(self):
-        idx = build_index(LINE3)
-        with pytest.raises(ParameterError):
-            idx.radius_neighbors([0, 0, 0], 0.0)
+        idx = SpatialIndex(LINE3)
+        for d in (0.0, -1.0):
+            with pytest.raises(ParameterError):
+                idx.argmin_rank_in_ball(IDENTITY3, d)
+            with pytest.raises(ParameterError):
+                idx.nearest_below_rank(IDENTITY3, d=d)
 
     def test_ordered_by_distance_then_index(self):
-        pts = np.array([[1.0, 0], [-1.0, 0], [0.5, 0], [2.0, 0]])
-        idx = build_index(pts)
-        # distances from origin: 1, 1, 0.5, 2 -> order 2, 0, 1 (tie by index)
-        assert idx.radius_neighbors([0.0, 0.0], 1.5).tolist() == [2, 0, 1]
+        pts = np.array([[1.0, 0], [-1.0, 0], [0.5, 0], [2.0, 0], [0.0, 0]])
+        idx = SpatialIndex(pts)
+        # from the origin (point 4): distances 1, 1, 0.5, 2 to points 0..3
+        assert idx.nearest_below_rank(np.array([0, 1, 2, 3, 4]), d=1.5)[4] == 2
+        # with point 2 ranked above the origin, 0 and 1 tie at distance 1
+        assert idx.nearest_below_rank(np.array([1, 0, 4, 2, 3]), d=1.5)[4] == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("d", [0.1, 0.5, 1.0, 5.0])
     def test_matches_brute_force(self, seed, d):
         pts = make_cloud(seed, 300)
-        idx = build_index(pts)
-        rng = np.random.default_rng(seed + 99)
-        queries = np.concatenate([pts[rng.integers(0, 300, 5)],
-                                  rng.uniform(-1, 5, size=(5, 3))])
-        for q in queries:
-            assert idx.radius_neighbors(q, d).tolist() == brute_radius(pts, q, d)
+        idx = SpatialIndex(pts)
+        rank = np.random.default_rng(seed + 99).permutation(300)
+        D2 = sq_dist_matrix(pts)
+        assert idx.argmin_rank_in_ball(rank, d).tolist() == brute_argmin_rank_in_ball(D2, rank, d)
+        assert idx.nearest_below_rank(rank, d=d).tolist() == brute_nearest_below_rank(D2, rank, d)
 
 
 class TestKthNeighborDistance:
+    """rho from knn_window: the squared distance to the k-th nearest other point."""
+
     def test_line_examples(self):
         pts = np.array([[0.0, 0], [1, 0], [2, 0], [10, 0]])
-        idx = build_index(pts)
-        assert idx.kth_neighbor_distance(1, 2) == 1.0
-        assert idx.kth_neighbor_distance(0, 2) == 2.0
-        assert idx.kth_neighbor_distance(3, 2) == 9.0
+        rho, _ = SpatialIndex(pts).knn_window(2)
+        assert rho.tolist() == [4.0, 1.0, 4.0, 81.0]
 
     def test_coincident_duplicates_give_zero(self):
-        idx = build_index(np.zeros((3, 2)))
-        assert idx.kth_neighbor_distance(0, 2) == 0.0
+        rho, _ = SpatialIndex(np.zeros((3, 2))).knn_window(2)
+        assert rho.tolist() == [0.0, 0.0, 0.0]
 
     def test_k_equals_n_minus_1_is_farthest(self):
         pts = np.array([[0.0, 0], [1, 0], [2, 0], [10, 0]])
-        idx = build_index(pts)
-        assert idx.kth_neighbor_distance(0, 3) == 10.0
+        rho, _ = SpatialIndex(pts).knn_window(3)
+        assert rho.tolist() == [100.0, 81.0, 64.0, 100.0]
 
     def test_k_out_of_range(self):
-        idx = build_index(LINE3)
-        with pytest.raises(ParameterError):
-            idx.kth_neighbor_distance(0, 3)
-        with pytest.raises(ParameterError):
-            idx.kth_neighbor_distance(0, 0)
+        idx = SpatialIndex(LINE3)
+        for k in (3, 0, 1.5):
+            with pytest.raises(ParameterError):
+                idx.knn_window(k)
 
     @pytest.mark.parametrize("seed,n", [(3, 200), (4, 500)])
     def test_matches_brute_force(self, seed, n):
         pts = make_cloud(seed, n)
-        idx = build_index(pts)
+        idx = SpatialIndex(pts)
         D2 = sq_dist_matrix(pts)
-        rng = np.random.default_rng(seed)
-        for i in rng.integers(0, n, size=20):
-            for k in (1, 2, 7, 16):
-                expect = np.sqrt(brute_kth_sq(D2, int(i), k))
-                assert idx.kth_neighbor_distance(int(i), k) == expect
+        for k in (1, 2, 7, 16):
+            rho, _ = idx.knn_window(k)
+            assert rho.tolist() == [brute_kth_sq(D2, i, k) for i in range(n)]
 
     def test_matches_brute_force_with_stems(self):
-        pts = make_cloud_with_stems(5, 4, 12, extra=20)
-        idx = build_index(pts[:, :2])
-        D2 = sq_dist_matrix(pts[:, :2])
-        for i in range(len(pts)):
-            for k in (1, 5, 11, 12, 15):
-                assert idx.kth_neighbor_distance(i, k) == np.sqrt(brute_kth_sq(D2, i, k))
+        pts = make_cloud_with_stems(5, 4, 12, extra=20)[:, :2]
+        idx = SpatialIndex(pts)
+        D2 = sq_dist_matrix(pts)
+        for k in (1, 5, 11, 12, 15):
+            rho, _ = idx.knn_window(k)
+            assert rho.tolist() == [brute_kth_sq(D2, i, k) for i in range(len(pts))]
 
 
 class TestNearestSatisfying:
+    """Unbounded nearest_below_rank: nearest point satisfying 'ranked lower'."""
+
     def test_keyed_example(self):
         pts = np.array([[0.0, 0], [1, 0], [3, 0]])
-        key = [1, 2, 3]
-        idx = build_index(pts)
-        assert idx.nearest_satisfying(0, lambda j: key[j] > key[0]) == 1
-        assert idx.nearest_satisfying(2, lambda j: key[j] > key[2]) is None
+        # rank[j] < rank[i] iff key[j] > key[i] for key = [1, 2, 3]
+        idx = SpatialIndex(pts)
+        assert idx.nearest_below_rank(np.array([2, 1, 0])).tolist() == [1, 2, -1]
 
     def test_always_false(self):
-        idx = build_index(LINE3)
-        assert idx.nearest_satisfying(1, lambda j: False) is None
+        idx = SpatialIndex(LINE3)
+        assert idx.nearest_below_rank(np.array([1, 0, 2]))[1] == -1
+        assert SpatialIndex(np.zeros((1, 3))).nearest_below_rank(np.array([0])).tolist() == [-1]
 
     def test_equidistant_tie_smaller_index(self):
         pts = np.array([[0.0, 0], [1, 0], [-1, 0]])
-        idx = build_index(pts)
-        assert idx.nearest_satisfying(0, lambda j: True) == 1
+        idx = SpatialIndex(pts)
+        # 1 and 2 are both ranked below 0 and equally far: the index decides
+        assert idx.nearest_below_rank(np.array([2, 0, 1]))[0] == 1
+        assert idx.nearest_below_rank(np.array([2, 1, 0]))[0] == 1
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_matches_brute_force(self, seed):
         pts = make_cloud(seed, 250)
-        idx = build_index(pts)
+        idx = SpatialIndex(pts)
         rng = np.random.default_rng(seed)
-        accept_set = set(rng.integers(0, 250, size=30).tolist())
-        for i in rng.integers(0, 250, size=25):
-            got = idx.nearest_satisfying(int(i), lambda j: j in accept_set)
-            want = brute_nearest_satisfying(pts, int(i), lambda j: j in accept_set)
-            assert got == want
+        rank = rng.permutation(250)
+        members = np.unique(rng.integers(0, 250, size=40))
+        got = idx.nearest_below_rank(rank, subset=members)
+        want = brute_nearest_below_rank(sq_dist_matrix(pts), rank, members=members.tolist())
+        assert got.tolist() == want
 
 
 class TestBulkQueries:
     @pytest.mark.parametrize("seed", [8, 9])
     def test_kth_sq_distances_match_brute(self, seed):
         pts = make_cloud(seed, 400, dims=2)
-        idx = build_index(pts)
+        idx = SpatialIndex(pts)
         D2 = sq_dist_matrix(pts)
         for k in (1, 3, 16):
-            rho = idx.kth_sq_distances(k)
-            expect = np.array([brute_kth_sq(D2, i, k) for i in range(400)])
-            assert np.array_equal(rho, expect)
+            rho, win = idx.knn_window(k, return_indices=True)
+            assert rho.tolist() == [brute_kth_sq(D2, i, k) for i in range(400)]
+            # the window holds the k+2 nearest points, self included
+            assert win.shape == (400, k + 2)
+            assert (win == np.arange(400)[:, None]).any(axis=1).all()
+            win_d2 = np.sort(np.take_along_axis(D2, win.astype(np.int64), axis=1), axis=1)
+            assert np.array_equal(win_d2, np.sort(D2, axis=1)[:, :k + 2])
 
     def test_directed_radius_lists_match_brute(self):
         pts = make_cloud_with_stems(10, 3, 9, extra=30)[:, :2]
-        idx = build_index(pts)
+        idx = SpatialIndex(pts)
         k = 4
         rho, win = idx.knn_window(k, return_indices=True)
         offsets, flat = idx.directed_radius_lists(rho, win)
@@ -147,50 +184,53 @@ class TestBulkQueries:
 
     def test_argmin_rank_in_ball_matches_brute(self):
         pts = make_cloud(11, 300)
-        idx = build_index(pts)
-        rng = np.random.default_rng(11)
-        rank = rng.permutation(300)
+        idx = SpatialIndex(pts)
+        rank = np.random.default_rng(11).permutation(300)
+        D2 = sq_dist_matrix(pts)
         for d in (0.05, 0.3, 1.0):
-            got = idx.argmin_rank_in_ball(rank, d)
-            D2 = sq_dist_matrix(pts)
-            for i in range(300):
-                nbr = [j for j in range(300) if D2[i, j] < d * d]
-                assert got[i] == min(nbr, key=lambda j: rank[j])
+            assert idx.argmin_rank_in_ball(rank, d).tolist() == \
+                brute_argmin_rank_in_ball(D2, rank, d)
 
     def test_nearest_below_rank_matches_brute(self):
         pts = make_cloud(12, 300)
-        idx = build_index(pts)
-        rng = np.random.default_rng(12)
-        rank = rng.permutation(300)
+        idx = SpatialIndex(pts)
+        rank = np.random.default_rng(12).permutation(300)
         D2 = sq_dist_matrix(pts)
         for d in (0.2, 1.0, None):
-            got = idx.nearest_below_rank(rank, d=d)
-            cap = np.inf if d is None else d * d
-            for i in range(300):
-                cand = [j for j in range(300)
-                        if j != i and rank[j] < rank[i] and D2[i, j] < cap]
-                want = min(cand, key=lambda j: (D2[i, j], j)) if cand else -1
-                assert got[i] == want
+            assert idx.nearest_below_rank(rank, d=d).tolist() == \
+                brute_nearest_below_rank(D2, rank, d)
 
 
 class TestBuild:
     def test_empty_index(self):
-        idx = build_index(np.empty((0, 3)))
-        assert idx.radius_neighbors([0, 0, 0], 1.0).size == 0
-        assert idx.nearest_satisfying(0, lambda j: True) is None
+        idx = SpatialIndex(np.empty((0, 3)))
+        assert idx.n == 0
+        empty = np.empty(0, dtype=np.int64)
+        assert idx.argmin_rank_in_ball(empty, 1.0).size == 0
+        assert idx.nearest_below_rank(empty).size == 0
 
     def test_single_point(self):
-        idx = build_index(np.zeros((1, 3)))
-        assert idx.radius_neighbors([0, 0, 0], 0.5).tolist() == [0]
+        idx = SpatialIndex(np.zeros((1, 3)))
+        assert idx.argmin_rank_in_ball(np.array([0]), 0.5).tolist() == [0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="index 1"):
-            build_index(np.array([[0.0, 0], [np.inf, 0]]))
+            SpatialIndex(np.array([[0.0, 0], [np.inf, 0]]))
 
     def test_bad_shape_rejected(self):
         with pytest.raises(DataError):
-            build_index(np.zeros((3, 4)))
+            SpatialIndex(np.zeros((3, 4)))
 
     def test_duplicates_allowed(self):
-        idx = build_index(np.zeros((5, 2)))
-        assert idx.radius_neighbors([0, 0], 1.0).tolist() == [0, 1, 2, 3, 4]
+        idx = SpatialIndex(np.zeros((5, 2)))
+        assert idx.argmin_rank_in_ball(np.array([4, 3, 2, 1, 0]), 1.0).tolist() == [4] * 5
+        assert idx.nearest_below_rank(np.arange(5), d=1.0).tolist() == [-1, 0, 0, 0, 0]
+        assert idx.knn_window(4)[0].tolist() == [0.0] * 5
+
+    def test_caller_array_stays_writable(self):
+        pts = np.zeros((4, 2))
+        idx = SpatialIndex(pts)
+        pts[0, 0] = 7.0
+        assert idx.points[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            idx.points[0, 0] = 1.0
