@@ -68,7 +68,8 @@ def main() -> None:
 @click.option("--beta", type=float, default=None,
               help=f"core density fraction in [0,1] [default: {_DEFAULT_BETA}]")
 @click.option("--binary/--ascii", "binary", default=False, help="output PLY encoding")
-@click.option("--threads", type=int, default=None, help="query threads [default: all cores]")
+@click.option("--threads", type=click.IntRange(min=1), default=None,
+              help="query threads [default: all cores]")
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="write a JSON run report")
 def cmd_cluster(input_ply, output_ply, algo, d, k, beta, binary, threads, report_path):
@@ -109,6 +110,8 @@ def _parse_sweep(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise click.UsageError(f"--sweep-d expects start:stop:step, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise click.UsageError(f"--sweep-d bounds and step must be finite: {text!r}")
     if step <= 0 or stop < start:
         raise click.UsageError(f"--sweep-d range is empty: {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -130,7 +133,7 @@ def _parse_sweep(text: str) -> list[float]:
 @click.option("--algo", type=click.Choice(["rain", "zqs", "gdqs"]), default=None,
               help="algorithm for --sweep-d runs")
 @click.option("--k", type=int, default=None)
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=click.IntRange(min=1), default=None)
 def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
              sweep_d, algo, k, threads):
     """Match PRED_PLY clusters against TRUTH_PLY and print a JSON report."""
@@ -246,7 +249,7 @@ def _bench_spec(n: int, seed: int) -> FieldSpec:
 @click.option("--beta", type=float, default=None)
 @click.option("--repeats", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=click.IntRange(min=1), default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def cmd_bench(sizes, algo, d, k, beta, repeats, seed, threads, report_path):
     """Time the clustering (I/O excluded) on synthetic fields of growing size."""

@@ -69,7 +69,7 @@ class DensityField:
     parent_rank: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=np.float64)
+        rho = np.array(self.rho, dtype=np.float64, order="C")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         n = rho.shape[0]
@@ -103,7 +103,7 @@ class ParentForest:
     parent: np.ndarray
 
     def __post_init__(self) -> None:
-        parent = np.asarray(self.parent, dtype=np.int64)
+        parent = np.array(self.parent, dtype=np.int64, order="C")
         parent.setflags(write=False)
         object.__setattr__(self, "parent", parent)
 
@@ -279,11 +279,12 @@ def gdqs_parents(cloud: PointCloud, d: float, density: DensityField,
 
 
 def _mutual_edges(density: DensityField, workers: int):
-    """Directed within-own-k-NN-radius lists and the mutual (undirected) edges.
+    """Earlier-neighbor lists within each point's own k-NN radius, and the
+    mutual (undirected) edges among them.
 
-    j is a directed neighbor of i iff dist2d(i,j)^2 <= rho_i (tie inclusive,
-    self excluded); an undirected edge exists iff both directions do, i.e. a
-    normalized pair code appears once per direction.
+    Row i holds the j sweeping before i with dist2d(i,j)^2 <= rho_i (tie
+    inclusive); the edge is mutual iff also dist2d(i,j)^2 <= rho_j, and each
+    mutual edge appears once, in the row of its later endpoint.
     """
     n = density.n
     if n >= 1 << 31:
@@ -291,13 +292,10 @@ def _mutual_edges(density: DensityField, workers: int):
     knn_idx = density.knn_idx
     if knn_idx is None:
         _, knn_idx = density.index2d.knn_window(density.k, workers=workers, return_indices=True)
-    offsets, flat = density.index2d.directed_radius_lists(density.rho, knn_idx)
-    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-    codes = np.where(owner < flat, owner * n + flat, flat * n + owner)
-    codes.sort(kind="stable")
-    dup = codes[1:] == codes[:-1]
-    mutual = codes[:-1][dup] if codes.size else codes
-    return offsets, flat, mutual // n, mutual % n
+    offsets, flat, mutual = density.index2d.directed_radius_lists(
+        density.rho, density.sweep_rank, knn_idx)
+    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
+    return offsets, flat, owner[mutual], flat[mutual]
 
 
 def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
@@ -337,7 +335,7 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     # sweep prefix it spans the same components as the full mutual edge set,
     # so the per-step union-find evolution is unchanged.
     if eu.size:
-        w = np.maximum(drank[eu], drank[ev]).astype(np.float64) + 1.0
+        w = drank[eu] + 1.0  # eu is the later endpoint
         msf = minimum_spanning_tree(coo_matrix((w, (eu, ev)), shape=(n, n)).tocsr()).tocoo()
         fu = msf.row.astype(np.int64)
         fv = msf.col.astype(np.int64)
@@ -442,7 +440,6 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
         r = find(p)
         if not locked[r]:
             tg = targets[offsets[p]:offsets[p + 1]]
-            tg = tg[drank[tg] < t]
             hit = tg[locked_pt[tg]]
             if hit.size:
                 union(find(int(hit[0])), r)

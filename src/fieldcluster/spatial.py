@@ -10,11 +10,11 @@ rely on:
 * ties anywhere are broken by the smaller original point index.
 
 Per-point k-NN windows (the kk nearest points, self included, with their
-exact squared distances) come from one chunked query loop. The rank-directed
-searches grow the windows 4x per round instead of materializing neighbor
-balls, resolving each point as soon as its window provably contains the
-answer; windows come back from scipy as arrays, which keeps the inner loops
-vectorized.
+exact squared distances) come from one chunked query loop, the only place the
+tree is queried. The rank-directed searches and the radius lists grow the
+windows 4x per round instead of materializing neighbor balls, resolving each
+point as soon as its window provably contains the answer; windows come back
+from scipy as arrays, which keeps the inner loops vectorized.
 
 The index is read-only after construction; queries may run from any number
 of threads (``workers`` forwards to scipy's parallel query dispatch and has
@@ -55,27 +55,26 @@ class SpatialIndex:
         diff = self.points[idx] - q
         return np.einsum("...i,...i->...", diff, diff)
 
-    def _ball_exact(self, i: int, rho: float) -> np.ndarray:
-        """All j != i with squared distance <= rho, ascending by index."""
-        cand = np.asarray(self._tree.query_ball_point(
-            self.points[i], np.sqrt(rho) * (1.0 + 1e-9) + 1e-300, return_sorted=True),
-            dtype=np.int64)
-        keep = (self._sq_dist_to(self.points[i], cand) <= rho) & (cand != i)
-        return cand[keep]
-
-    def _windows(self, members: np.ndarray, kk: int, workers: int):
+    def _windows(self, members: np.ndarray, kk: int, workers: int,
+                 cached: np.ndarray | None = None):
         """Yield (sub, idx, d2) chunks covering ``members``: idx[r] holds the
         kk nearest points of sub[r] (itself included) and d2[r] their exact
-        squared distances."""
+        squared distances. ``cached`` supplies the windows (row per point)
+        instead of querying the tree."""
         rows = max(1, _CHUNK_ELEMS // kk)
         for start in range(0, members.shape[0], rows):
             sub = members[start:start + rows]
-            _, idx = self._tree.query(self.points[sub], k=kk, workers=workers)
+            if cached is None:
+                _, idx = self._tree.query(self.points[sub], k=kk, workers=workers)
+            else:
+                idx = cached[sub]
             idx = np.atleast_2d(idx).astype(np.int64, copy=False)
             yield sub, idx, self._sq_dist_to(self.points[sub][:, None, :], idx)
 
-    def _expand(self, members: np.ndarray, kk: int, workers: int, resolve) -> None:
-        """Grow the windows of unresolved members 4x per round, starting at kk.
+    def _expand(self, members: np.ndarray, kk: int, workers: int, resolve,
+                cached: np.ndarray | None = None) -> None:
+        """Grow the windows of unresolved members 4x per round, starting at kk;
+        ``cached`` windows (kk wide), when given, serve the first round.
 
         ``resolve(sub, idx, d2, exhausted)`` records the answers a chunk's
         windows settle and returns the mask of settled rows; ``exhausted``
@@ -85,9 +84,10 @@ class SpatialIndex:
         while active.size:
             kk = min(kk, self.n)
             done = [resolve(sub, idx, d2, kk >= self.n)
-                    for sub, idx, d2 in self._windows(active, kk, workers)]
+                    for sub, idx, d2 in self._windows(active, kk, workers, cached)]
             active = active[~np.concatenate(done)]
             kk *= 4
+            cached = None
 
     # ------------------------------------------------------------- bulk kNN
 
@@ -111,46 +111,42 @@ class SpatialIndex:
                 all_idx[sub] = idx
         return rho, all_idx
 
-    def directed_radius_lists(self, rho: np.ndarray,
-                              knn_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CSR lists of {j != i : dist^2(i, j) <= rho[i]} for every member i.
+    def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray,
+                              knn_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR lists of the earlier neighbors within each point's own radius,
+        {j : rank[j] < rank[i], dist^2(i, j) <= rho[i]}, with the mutual ones
+        (dist^2(i, j) <= rho[j] as well) marked.
 
-        Filters the provided k-NN windows; rows whose window might cut a tie
-        group at exactly rho (window max == rho) fall back to an exact ball
-        query. Returns (offsets, flat).
+        Filters the provided k-NN windows; a row whose window max does not
+        exceed rho[i] may cut a tie group at exactly rho[i] and regrows until
+        its window reaches past rho[i]. Returns (offsets, flat, mutual): int32
+        neighbor indices and a bool mask over them.
         """
         n = self.n
+        counts = np.zeros(n, dtype=np.int64)
+        pieces = []
+
+        def resolve(sub, idx, d2, exhausted):
+            # a window reaching past rho holds every point within rho
+            done = (d2.max(axis=1) > rho[sub]) | exhausted
+            keep = (d2 <= rho[sub][:, None]) & (rank[idx] < rank[sub][:, None]) & done[:, None]
+            counts[sub[done]] = keep.sum(axis=1)[done]
+            nbr = idx[keep]
+            pieces.append((sub[done], nbr.astype(np.int32), d2[keep] <= rho[nbr]))
+            return done
+
+        self._expand(np.arange(n, dtype=np.int64), knn_idx.shape[1], 1, resolve, cached=knn_idx)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        if n == 0:
-            return offsets, np.empty(0, dtype=np.int64)
-        kq = knn_idx.shape[1]
-        chunks: list[np.ndarray] = []
-        rows = max(1, _CHUNK_ELEMS // kq)
-        counts = np.empty(n, dtype=np.int64)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            idx = knn_idx[start:stop].astype(np.int64, copy=False)
-            owners = np.arange(start, stop, dtype=np.int64)
-            d2 = self._sq_dist_to(self.points[owners][:, None, :], idx)
-            keep = (d2 <= rho[owners][:, None]) & (idx != owners[:, None])
-            flat = [idx[keep]]
-            row_counts = keep.sum(axis=1)
-            # a window whose max does not exceed rho may cut a tie group at
-            # exactly rho: redo those rows with an exact ball query
-            suspect = np.flatnonzero(d2.max(axis=1) <= rho[owners]) if kq < n else \
-                np.empty(0, dtype=np.int64)
-            if suspect.size:
-                exact_rows = {int(r): self._ball_exact(int(owners[r]), float(rho[owners[r]]))
-                              for r in suspect}
-                per_row = np.split(idx[keep], np.cumsum(row_counts)[:-1])
-                flat = [exact_rows.get(r, per_row[r]) for r in range(stop - start)]
-                for r, exact in exact_rows.items():
-                    row_counts[r] = exact.shape[0]
-            counts[start:stop] = row_counts
-            chunks.extend(flat)
-        np.cumsum(counts, out=counts)
-        offsets[1:] = counts
-        return offsets, np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        flat = np.empty(offsets[-1], dtype=np.int32)
+        mutual = np.empty(offsets[-1], dtype=bool)
+        for rows, nbr, mut in pieces:
+            # scatter each row's run of entries to its CSR slot
+            c = counts[rows]
+            pos = np.repeat(offsets[rows] - np.cumsum(c) + c, c) + np.arange(nbr.size)
+            flat[pos] = nbr
+            mutual[pos] = mut
+        return offsets, flat, mutual
 
     # ------------------------------------------------- rank-directed queries
 

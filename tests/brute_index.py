@@ -23,12 +23,12 @@ class BruteIndex:
             idx = np.argsort(self._d2, axis=1, kind="stable")[:, :kq].astype(np.int32)
         return rho, idx
 
-    def directed_radius_lists(self, rho, knn_idx):
-        mask = (self._d2 <= rho[:, None]) & ~np.eye(self.n, dtype=bool)
+    def directed_radius_lists(self, rho, rank, knn_idx):
+        mask = (self._d2 <= rho[:, None]) & (rank[None, :] < rank[:, None])
         owners, flat = np.nonzero(mask)
         offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(owners, minlength=self.n), out=offsets[1:])
-        return offsets, flat.astype(np.int64)
+        return offsets, flat.astype(np.int32), self._d2[owners, flat] <= rho[flat]
 
     def argmin_rank_in_ball(self, rank, d, workers=1):
         order = np.empty(self.n, dtype=np.int64)

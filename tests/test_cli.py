@@ -115,6 +115,13 @@ class TestCluster:
         doc = json.loads(rep.read_text())
         assert doc["schema"] == 1 and doc["algorithm"] == "zqs"
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_must_be_positive(self, small_field, tmp_path, runner, threads):
+        result = runner.invoke(main, ["cluster", str(small_field), str(tmp_path / "o.ply"),
+                                      "--algo", "zqs", "--d", "0.2", "--threads", threads])
+        assert result.exit_code == 2
+        assert "--threads" in result.output
+
 
 class TestEval:
     def test_perfect_prediction(self, small_field, tmp_path, runner):
@@ -174,6 +181,22 @@ class TestEval:
                                       "--sweep-d", "0.1:0.2:0.1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("sweep", ["nan:1:0.1", "0.1:inf:0.1", "0.1:1:nan", "-inf:1:0.1",
+                                       "1:0.1:0.1", "0.1:1:0", "a:b:c"])
+    def test_sweep_rejects_bad_range(self, small_field, runner, sweep):
+        result = runner.invoke(main, ["eval", str(small_field), str(small_field),
+                                      "--sweep-d", sweep, "--algo", "zqs"])
+        assert result.exit_code == 2
+        assert "--sweep-d" in result.output
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_must_be_positive(self, small_field, runner, threads):
+        result = runner.invoke(main, ["eval", str(small_field), str(small_field),
+                                      "--sweep-d", "0.1:0.1:0.1", "--algo", "zqs",
+                                      "--threads", threads])
+        assert result.exit_code == 2
+        assert "--threads" in result.output
+
 
 class TestBench:
     def test_single_size_row(self, runner):
@@ -201,6 +224,13 @@ class TestBench:
         result = runner.invoke(main, ["bench", "--sizes", "2000", "--algo", "zqs",
                                       "--d", "0.1", "--repeats", repeats])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_must_be_positive(self, runner, threads):
+        result = runner.invoke(main, ["bench", "--sizes", "2000", "--algo", "zqs",
+                                      "--d", "0.1", "--repeats", "1", "--threads", threads])
+        assert result.exit_code == 2
+        assert "--threads" in result.output
 
     def test_sizes_must_ascend(self, runner):
         result = runner.invoke(main, ["bench", "--sizes", "2000,1000", "--algo", "zqs",

@@ -16,7 +16,7 @@ from fieldcluster import (
     rain_parents,
     zqs_parents,
 )
-from fieldcluster.cluster import ParentForest
+from fieldcluster.cluster import DensityField, ParentForest
 from conftest import make_cloud
 
 
@@ -117,6 +117,15 @@ class TestKnnDensity:
             knn_density_2d(LINE4, 0)
         with pytest.raises(ParameterError):
             knn_density_2d(LINE4, 4)
+
+    def test_caller_arrays_stay_writable(self):
+        dens = knn_density_2d(LINE4, 2)
+        rho = dens.rho.copy()
+        field = DensityField(rho=rho, k=2, index2d=dens.index2d)
+        rho[0] = 7.0
+        assert field.rho[0] == dens.rho[0]
+        with pytest.raises(ValueError):
+            field.rho[0] = 1.0
 
 
 class TestGdqs:
@@ -260,6 +269,14 @@ class TestForestToLabels:
 
     def test_empty(self):
         assert forest_to_labels(ParentForest(np.empty(0, np.int64))).size == 0
+
+    def test_caller_arrays_stay_writable(self):
+        parent = np.array([0, 0, 1])
+        forest = ParentForest(parent)
+        parent[2] = 2
+        assert forest.parent.tolist() == [0, 0, 1]
+        with pytest.raises(ValueError):
+            forest.parent[0] = 1
 
 
 class TestClusterDispatch:

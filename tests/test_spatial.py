@@ -2,12 +2,24 @@ import numpy as np
 import pytest
 
 from fieldcluster import DataError, ParameterError, SpatialIndex
+from brute_index import BruteIndex
 from conftest import make_cloud, make_cloud_with_stems
 from oracles import brute_kth_sq, sq_dist_matrix
 
 
 LINE3 = np.array([[0.0, 0, 0], [1, 0, 0], [3, 0, 0]])
 IDENTITY3 = np.arange(3)
+
+
+def sweep_rank(rho):
+    """Rank under (rho, index) ascending, as DensityField.sweep_rank."""
+    return np.lexsort((np.arange(len(rho)), rho)).argsort()
+
+
+def radius_rows(offsets, flat, mutual):
+    """Per row: the set of listed neighbors and the set of mutual ones."""
+    return [(set(flat[a:b].tolist()), set(flat[a:b][mutual[a:b]].tolist()))
+            for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def brute_argmin_rank_in_ball(D2, rank, d):
@@ -175,12 +187,26 @@ class TestBulkQueries:
         idx = SpatialIndex(pts)
         k = 4
         rho, win = idx.knn_window(k, return_indices=True)
-        offsets, flat = idx.directed_radius_lists(rho, win)
-        D2 = sq_dist_matrix(pts)
-        for i in range(len(pts)):
-            got = sorted(flat[offsets[i]:offsets[i + 1]].tolist())
-            want = [j for j in range(len(pts)) if j != i and D2[i, j] <= rho[i]]
-            assert got == want
+        rank = sweep_rank(rho)
+        got = idx.directed_radius_lists(rho, rank, win)
+        want = BruteIndex(pts).directed_radius_lists(rho, rank, win)
+        assert got[1].dtype == np.int32
+        assert np.array_equal(got[0], want[0])
+        assert radius_rows(*got) == radius_rows(*want)
+
+    def test_directed_radius_lists_regrow_tie_group(self):
+        # the centre (last index, so last among equal rho) has four neighbors
+        # at exactly rho = 1; its k+2 = 3 window holds only two of them
+        pts = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1], [0, 0]])
+        idx = SpatialIndex(pts)
+        rho, win = idx.knn_window(1, return_indices=True)
+        assert rho.tolist() == [1.0] * 5 and win.shape == (5, 3)
+        rank = sweep_rank(rho)
+        got = idx.directed_radius_lists(rho, rank, win)
+        want = BruteIndex(pts).directed_radius_lists(rho, rank, win)
+        assert got[0].tolist() == want[0].tolist() == [0, 0, 0, 0, 0, 4]
+        assert radius_rows(*got) == radius_rows(*want)
+        assert radius_rows(*got)[4] == ({0, 1, 2, 3}, {0, 1, 2, 3})
 
     def test_argmin_rank_in_ball_matches_brute(self):
         pts = make_cloud(11, 300)
