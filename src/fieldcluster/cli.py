@@ -132,12 +132,24 @@ def _parse_sweep(text: str) -> list[float]:
                    "20% of the truth count")
 @click.option("--algo", type=click.Choice(["rain", "zqs", "gdqs"]), default=None,
               help="algorithm for --sweep-d runs")
-@click.option("--k", type=int, default=None)
+@click.option("--k", type=int, default=None, help="density kernel size for --sweep-d runs")
 @click.option("--threads", type=click.IntRange(min=1), default=None)
 def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
              sweep_d, algo, k, threads):
     """Match PRED_PLY clusters against TRUTH_PLY and print a JSON report."""
     truth_mode = "distinct" if distinct_colors else "palette"
+    if sweep_d is None:
+        if algo is not None or k is not None:
+            raise click.UsageError("--algo and --k apply only with --sweep-d")
+    else:
+        if algo is None:
+            raise click.UsageError("--sweep-d requires --algo")
+        values = _parse_sweep(sweep_d)
+        # every d of the sweep is positive iff the first is
+        try:
+            _build_params(algo, values[0], k, None)
+        except ParameterError as exc:
+            raise click.UsageError(str(exc)) from None
     try:
         if sweep_d is None:
             pred = _require_labels(pred_ply, "palette")
@@ -150,12 +162,8 @@ def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
             doc = {"schema": 1, "command": "eval",
                    "match": match.to_dict(), "counts": counts.to_dict()}
         else:
-            if algo is None:
-                raise click.UsageError("--sweep-d requires --algo")
             doc = _run_sweep(pred_ply, truth_ply, truth_mode, ignore_ground,
-                             sweep_d, algo, k, threads)
-    except click.UsageError:
-        raise
+                             values, algo, k, threads)
     except FieldClusterError as exc:
         _fail(exc)
     text = json.dumps(doc, indent=2)
@@ -163,11 +171,10 @@ def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
     _write_report(doc, report_path)
 
 
-def _run_sweep(input_ply, truth_ply, truth_mode, ignore_ground, sweep_d,
+def _run_sweep(input_ply, truth_ply, truth_mode, ignore_ground, values,
                algo, k, threads) -> dict:
     """The 20%-count selection protocol: keep the best mean IoU among runs whose
     cluster count is within 20% of the truth cluster count."""
-    values = _parse_sweep(sweep_d)
     input_cloud = load_ply(input_ply)
     truth = _require_labels(truth_ply, truth_mode)
     if input_cloud.n != truth.n:

@@ -11,10 +11,13 @@ rely on:
 
 Per-point k-NN windows (the kk nearest points, self included, with their
 exact squared distances) come from one chunked query loop, the only place the
-tree is queried. The rank-directed searches and the radius lists grow the
-windows 4x per round instead of materializing neighbor balls, resolving each
-point as soon as its window provably contains the answer; windows come back
-from scipy as arrays, which keeps the inner loops vectorized.
+index's own tree is queried. The nearest-below-rank search and the radius
+lists grow the windows 4x per round instead of materializing neighbor balls,
+resolving each point as soon as its window provably contains the answer;
+windows come back from scipy as arrays, which keeps the inner loops
+vectorized. The lowest-rank-in-ball search does not use the windows: it
+descends a hierarchy of kD-trees built per call over blocks of the points in
+rank order, so its cost does not grow with the number of points in a ball.
 
 The index is read-only after construction; queries may run from any number
 of threads (``workers`` forwards to scipy's parallel query dispatch and has
@@ -30,6 +33,20 @@ from .errors import DataError, ParameterError
 
 # soft bound on elements touched per vectorized query round
 _CHUNK_ELEMS = 4_000_000
+# argmin_rank_in_ball: rank blocks of this many points are scanned directly
+_LEAF = 64
+# relative slack on the tree's distance bound, far above the few ulps by which
+# the tree's distance may differ from the exact squared distance
+_BOUND_SLACK = 1.0 + 1e-9
+# query batches smaller than this run on one thread: starting the pool costs more
+_PARALLEL_ROWS = 4096
+
+
+def _sq_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact squared distances between broadcast rows of p and q, computed
+    as the brute-force oracles compute them."""
+    diff = p - q
+    return np.einsum("...i,...i->...", diff, diff)
 
 
 class SpatialIndex:
@@ -51,10 +68,6 @@ class SpatialIndex:
 
     # ---------------------------------------------------------------- helpers
 
-    def _sq_dist_to(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        diff = self.points[idx] - q
-        return np.einsum("...i,...i->...", diff, diff)
-
     def _windows(self, members: np.ndarray, kk: int, workers: int,
                  cached: np.ndarray | None = None):
         """Yield (sub, idx, d2) chunks covering ``members``: idx[r] holds the
@@ -69,7 +82,7 @@ class SpatialIndex:
             else:
                 idx = cached[sub]
             idx = np.atleast_2d(idx).astype(np.int64, copy=False)
-            yield sub, idx, self._sq_dist_to(self.points[sub][:, None, :], idx)
+            yield sub, idx, _sq_dist(self.points[idx], self.points[sub][:, None, :])
 
     def _expand(self, members: np.ndarray, kk: int, workers: int, resolve,
                 cached: np.ndarray | None = None) -> None:
@@ -155,23 +168,65 @@ class SpatialIndex:
 
         rank must be a permutation of 0..n-1 (a strict total order); the ball
         always contains the member itself, so the result is total.
+
+        Descends a power-of-two hierarchy over the points in rank order (the
+        static decomposition of Bentley & Saxe, 1980): each point's candidate
+        starts as the whole rank range, which holds a ball point (itself), and
+        moves to its left half when that half holds a point strictly inside d,
+        to its right half otherwise, so it always holds the answer. A left half
+        is asked with one batched k=1 query per block against a kD-tree over
+        the block (skipped when the point itself lies in it); blocks of
+        ``_LEAF`` points or fewer are scanned directly for their first ball
+        point. The trees are queried with a slightly inflated bound, so a point
+        strictly inside d is never pruned, and the answer is rechecked with the
+        exact squared distance; when the nearest point lies in the inflated
+        ball but not strictly inside d, the block's inflated ball is rechecked
+        in full. The cost does not depend on how many points a ball holds.
         """
-        if not d > 0:
+        # d * d must not underflow: the ball would then lose its own centre
+        if not (d > 0 and d * d > 0):
             raise ParameterError(f"radius d must be positive, got {d}")
         n = self.n
         order = np.empty(n, dtype=np.int64)
         order[rank] = np.arange(n)
-        out = np.empty(n, dtype=np.int64)
+        ranked = self.points[order]
         cap = d * d
-
-        def resolve(sub, idx, d2, exhausted):
-            # a window reaching the ball's edge holds the whole ball
-            best = np.where(d2 < cap, rank[idx], n).min(axis=1)
-            done = (d2.max(axis=1) >= cap) | exhausted
-            out[sub[done]] = order[best[done]]
-            return done
-
-        self._expand(np.arange(n, dtype=np.int64), 8, workers, resolve)
+        bound = d * _BOUND_SLACK
+        start = np.zeros(n, dtype=np.int64)  # first rank of each candidate block
+        half = _LEAF
+        while half < n:
+            half *= 2
+        while half > _LEAF:
+            half //= 2
+            # a point inside the left half is its own witness
+            ask = np.flatnonzero(rank >= start + half)
+            if not ask.size:
+                continue
+            ask = ask[np.argsort(start[ask], kind="stable")]
+            for rows in np.split(ask, np.flatnonzero(np.diff(start[ask])) + 1):
+                b = start[rows[0]]
+                block = ranked[b:b + half]
+                tree = cKDTree(block)
+                q = self.points[rows]
+                _, j = tree.query(q, k=1, distance_upper_bound=bound,
+                                  workers=workers if rows.size >= _PARALLEL_ROWS else 1)
+                hit = np.flatnonzero(j < block.shape[0])
+                inside = np.zeros(rows.size, dtype=bool)
+                inside[hit] = _sq_dist(block[j[hit]], q[hit]) < cap
+                unsure = hit[~inside[hit]]
+                for r, ball in zip(unsure, tree.query_ball_point(q[unsure], bound)):
+                    inside[r] = (_sq_dist(block[ball], q[r]) < cap).any()
+                start[rows[~inside]] += half
+        out = np.empty(n, dtype=np.int64)
+        rows_per_chunk = max(1, _CHUNK_ELEMS // _LEAF)
+        for lo in range(0, n, rows_per_chunk):
+            sub = np.arange(lo, min(n, lo + rows_per_chunk))
+            pos = np.minimum(start[sub][:, None] + np.arange(_LEAF), n - 1)
+            d2 = _sq_dist(ranked[pos], self.points[sub][:, None, :])
+            # ranks ascend along a row, and its block holds a ball point
+            # ahead of any padding past n
+            first = np.argmax(d2 < cap, axis=1)
+            out[sub] = order[pos[np.arange(sub.size), first]]
         return out
 
     def nearest_below_rank(self, rank: np.ndarray, d: float | None = None,

@@ -189,6 +189,22 @@ class TestEval:
         assert result.exit_code == 2
         assert "--sweep-d" in result.output
 
+    @pytest.mark.parametrize("algo,k", [("zqs", "5"), ("gdqs", "0")])
+    def test_sweep_rejects_bad_params_before_loading(self, tmp_path, runner, algo, k):
+        # not a PLY file: a load would fail with exit 1
+        junk = tmp_path / "junk.ply"
+        junk.write_text("not a point cloud\n")
+        result = runner.invoke(main, ["eval", str(junk), str(junk),
+                                      "--sweep-d", "0.1:0.1:0.1", "--algo", algo, "--k", k])
+        assert result.exit_code == 2, result.output
+        assert "k" in result.output and "error: " not in result.output
+
+    @pytest.mark.parametrize("extra", [["--k", "5"], ["--algo", "gdqs"]])
+    def test_sweep_options_need_sweep(self, small_field, runner, extra):
+        result = runner.invoke(main, ["eval", str(small_field), str(small_field)] + extra)
+        assert result.exit_code == 2
+        assert "--sweep-d" in result.output
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_must_be_positive(self, small_field, runner, threads):
         result = runner.invoke(main, ["eval", str(small_field), str(small_field),

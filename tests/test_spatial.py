@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fieldcluster import DataError, ParameterError, SpatialIndex
+from fieldcluster import DataError, ParameterError, PointCloud, SpatialIndex
+from fieldcluster.cluster import rain_parents
 from brute_index import BruteIndex
 from conftest import make_cloud, make_cloud_with_stems
-from oracles import brute_kth_sq, sq_dist_matrix
+from oracles import brute_kth_sq, slow_rain_parents, sq_dist_matrix
 
 
 LINE3 = np.array([[0.0, 0, 0], [1, 0, 0], [3, 0, 0]])
@@ -28,6 +29,16 @@ def brute_argmin_rank_in_ball(D2, rank, d):
         nbr = np.flatnonzero(D2[i] < d * d)
         out.append(int(nbr[np.argmin(rank[nbr])]))
     return out
+
+
+def far_line_cloud(*near):
+    """200 points, in four rank blocks of up to 64: point 0 at the origin
+    and ranked last, then ``near`` ranked first, then a line of points 10 and
+    more away."""
+    pts = np.zeros((200, 3))
+    pts[1:1 + len(near)] = near
+    pts[1 + len(near):, 0] = 10.0 + np.arange(199 - len(near))
+    return pts, np.roll(np.arange(200), 1)
 
 
 def brute_nearest_below_rank(D2, rank, d=None, members=None):
@@ -58,6 +69,27 @@ class TestRadiusNeighbors:
         assert idx.argmin_rank_in_ball(np.array([1, 0, 2]), just_above).tolist() == [1, 1, 2]
         assert idx.nearest_below_rank(IDENTITY3, d=just_above).tolist() == [-1, 0, -1]
 
+    def test_strict_inequality_across_blocks(self):
+        # point 1 lies at exactly d = 1 from point 0, in another rank block
+        pts, rank = far_line_cloud([1.0, 0, 0])
+        D2 = sq_dist_matrix(pts)
+        for d, want in ((1.0, 0), (np.nextafter(1.0, 2.0), 1)):
+            got = SpatialIndex(pts).argmin_rank_in_ball(rank, d)
+            assert got[0] == want
+            assert got.tolist() == brute_argmin_rank_in_ball(D2, rank, d)
+
+    def test_tree_rounding_disagrees_at_edge(self):
+        # from point 0, point 1 lies exactly on the edge of the d-ball and
+        # point 2 strictly inside it; scipy sums the squares in another order
+        # and rounds point 1 nearer, so the descent must not trust its nearest
+        pts, rank = far_line_cloud([0.661, 0.204, 0.564], [0.661, 0.564, 0.204])
+        d = 0.8925429961632101
+        D2 = sq_dist_matrix(pts)
+        assert D2[0, 1] == d * d > D2[0, 2]
+        got = SpatialIndex(pts).argmin_rank_in_ball(rank, d)
+        assert got[0] == 2
+        assert got.tolist() == brute_argmin_rank_in_ball(D2, rank, d)
+
     def test_far_query_empty(self):
         idx = SpatialIndex(LINE3)
         assert idx.nearest_below_rank(IDENTITY3, d=0.5).tolist() == [-1, -1, -1]
@@ -73,6 +105,9 @@ class TestRadiusNeighbors:
                 idx.argmin_rank_in_ball(IDENTITY3, d)
             with pytest.raises(ParameterError):
                 idx.nearest_below_rank(IDENTITY3, d=d)
+        # a radius whose square underflows leaves even the centre outside
+        with pytest.raises(ParameterError):
+            idx.argmin_rank_in_ball(IDENTITY3, 1e-200)
 
     def test_ordered_by_distance_then_index(self):
         pts = np.array([[1.0, 0], [-1.0, 0], [0.5, 0], [2.0, 0], [0.0, 0]])
@@ -216,6 +251,22 @@ class TestBulkQueries:
         for d in (0.05, 0.3, 1.0):
             assert idx.argmin_rank_in_ball(rank, d).tolist() == \
                 brute_argmin_rank_in_ball(D2, rank, d)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_argmin_rank_in_ball_descends_on_lattice_ties(self, seed):
+        # n >= 512 points in rank blocks of 64: the query descends three or
+        # more levels, and lattice radii put many points exactly on the edge
+        rng = np.random.default_rng(seed)
+        sites = rng.integers(0, [8, 8, 6], size=(480, 3))
+        pts = np.concatenate([sites, sites[rng.integers(0, 480, size=120)]]).astype(np.float64)
+        idx = SpatialIndex(pts)
+        rank = rng.permutation(len(pts))
+        D2 = sq_dist_matrix(pts)
+        for d in (1.0, np.sqrt(2.0), 2.0):
+            assert idx.argmin_rank_in_ball(rank, d).tolist() == \
+                brute_argmin_rank_in_ball(D2, rank, d)
+            assert np.array_equal(rain_parents(PointCloud(pts), d).parent,
+                                  slow_rain_parents(pts, d))
 
     def test_nearest_below_rank_matches_brute(self):
         pts = make_cloud(12, 300)
