@@ -29,13 +29,17 @@ _DEFAULT_BETA = 0.3
 
 
 def _build_params(algo: str, d: float | None, k: int | None, beta: float | None) -> Params:
-    """Fill in defaults only for parameters the algorithm accepts, then validate."""
+    """Fill in defaults only for parameters the algorithm accepts, then validate;
+    an invalid combination is a usage error."""
     if algo in ("gdqs", "gdqspp") and k is None:
         k = _DEFAULT_K
     if algo == "gdqspp" and beta is None:
         beta = _DEFAULT_BETA
     params = Params(algorithm=algo, d=d, k=k, beta=beta)
-    params.validate()
+    try:
+        params.validate()
+    except ParameterError as exc:
+        raise click.UsageError(str(exc)) from None
     return params
 
 
@@ -74,10 +78,7 @@ def main() -> None:
               help="write a JSON run report")
 def cmd_cluster(input_ply, output_ply, algo, d, k, beta, binary, threads, report_path):
     """Cluster INPUT_PLY and write the labeled cloud to OUTPUT_PLY."""
-    try:
-        params = _build_params(algo, d, k, beta)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from None
+    params = _build_params(algo, d, k, beta)
     try:
         cloud = load_ply(input_ply)
         start = time.perf_counter()
@@ -146,10 +147,7 @@ def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
             raise click.UsageError("--sweep-d requires --algo")
         values = _parse_sweep(sweep_d)
         # every d of the sweep is positive iff the first is
-        try:
-            _build_params(algo, values[0], k, None)
-        except ParameterError as exc:
-            raise click.UsageError(str(exc)) from None
+        _build_params(algo, values[0], k, None)
     try:
         if sweep_d is None:
             pred = _require_labels(pred_ply, "palette")
@@ -249,7 +247,7 @@ def _bench_spec(n: int, seed: int) -> FieldSpec:
 
 @main.command("bench")
 @click.option("--sizes", default="50000,100000,200000,400000",
-              help="comma-separated ascending point counts")
+              help="comma-separated ascending positive point counts")
 @click.option("--algo", required=True, type=click.Choice(["rain", "zqs", "gdqs", "gdqspp"]))
 @click.option("--d", type=float, default=None)
 @click.option("--k", type=int, default=None)
@@ -260,16 +258,15 @@ def _bench_spec(n: int, seed: int) -> FieldSpec:
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def cmd_bench(sizes, algo, d, k, beta, repeats, seed, threads, report_path):
     """Time the clustering (I/O excluded) on synthetic fields of growing size."""
-    try:
-        params = _build_params(algo, d, k, beta)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from None
+    params = _build_params(algo, d, k, beta)
     try:
         size_list = [int(s) for s in sizes.split(",") if s.strip()]
     except ValueError:
         raise click.UsageError(f"--sizes expects integers, got {sizes!r}") from None
     if size_list != sorted(size_list) or not size_list:
         raise click.UsageError("--sizes must be ascending and non-empty")
+    if size_list[0] < 1:
+        raise click.UsageError(f"--sizes must be positive, got {sizes!r}")
     click.echo(f"# {algo}: median of {repeats} cluster() runs per size after one "
                "untimed warmup, I/O excluded")
     click.echo(f"{'n':>10}  {'points':>10}  {'seconds':>10}  {'ratio':>7}")

@@ -32,8 +32,6 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import ContractError, DataError, ParameterError
 from .pointcloud import PointCloud
@@ -278,13 +276,20 @@ def gdqs_parents(cloud: PointCloud, d: float, density: DensityField,
     return ParentForest(np.where(nb < 0, np.arange(n), nb))
 
 
-def _mutual_edges(density: DensityField, workers: int):
+def _sweep_edges(density: DensityField, workers: int):
     """Earlier-neighbor lists within each point's own k-NN radius, and the
-    mutual (undirected) edges among them.
+    mutual edges the core sweep merges along, as ``(act, early)`` sorted by
+    activation step.
 
     Row i holds the j sweeping before i with dist2d(i,j)^2 <= rho_i (tie
-    inclusive); the edge is mutual iff also dist2d(i,j)^2 <= rho_j, and each
-    mutual edge appears once, in the row of its later endpoint.
+    inclusive); the entry is mutual iff also dist2d(i,j)^2 <= rho_j, so each
+    mutual edge appears once, in the row of its later endpoint, and fires at
+    that endpoint's sweep step. Each point links to its row's first mutual
+    entry (a root if it has none). Links point to earlier points, so the swept
+    part of every link tree is connected through links at every step; a
+    mutual edge inside one tree never joins two components and is dropped.
+    Links and tree-crossing edges span the same components as all mutual
+    edges for every sweep prefix.
     """
     n = density.n
     if n >= 1 << 31:
@@ -294,8 +299,17 @@ def _mutual_edges(density: DensityField, workers: int):
         _, knn_idx = density.index2d.knn_window(density.k, workers=workers, return_indices=True)
     offsets, flat, mutual = density.index2d.directed_radius_lists(
         density.rho, density.sweep_rank, knn_idx)
-    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
-    return offsets, flat, owner[mutual], flat[mutual]
+    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))[mutual]
+    early = flat[mutual]
+    first = np.ones(owner.shape[0], dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    link = np.arange(n)
+    link[owner[first]] = early[first]
+    tree = _resolve_to_fixpoint(link)
+    keep = first | (tree[owner] != tree[early])
+    act = density.sweep_rank[owner[keep]]
+    eorder = np.argsort(act, kind="stable")
+    return offsets, flat, act[eorder], early[keep][eorder]
 
 
 def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
@@ -312,6 +326,11 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     attach to existing cores instead of nucleating new ones. Components that
     never lock mid-sweep freeze in full when the sweep ends.
 
+    The merges run along link-tree edges (see ``_sweep_edges``), which span
+    the same components as all mutual edges after every step. Every edge
+    firing at a step touches that step's point, so the merged sets, modes and
+    lock states do not depend on which spanning edges are used.
+
     Infinite-density modes (coincident projections) lock when the sweep
     reaches finite densities; with beta == 0 they lock immediately after
     their mode is processed.
@@ -326,26 +345,10 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     if n == 0:
         return CoreSet((), np.empty(0, np.int64), np.empty(0, np.float64), 0)
 
-    offsets, targets, eu, ev = _mutual_edges(density, workers)
+    offsets, targets, act, early = _sweep_edges(density, workers)
     drank = density.sweep_rank
     order = density.sweep_order
     vals = density.values
-
-    # Sparsify to the maximum-activation-rank spanning forest: for every
-    # sweep prefix it spans the same components as the full mutual edge set,
-    # so the per-step union-find evolution is unchanged.
-    if eu.size:
-        w = drank[eu] + 1.0  # eu is the later endpoint
-        msf = minimum_spanning_tree(coo_matrix((w, (eu, ev)), shape=(n, n)).tocsr()).tocoo()
-        fu = msf.row.astype(np.int64)
-        fv = msf.col.astype(np.int64)
-        act = np.maximum(drank[fu], drank[fv])
-        early = np.where(drank[fu] < drank[fv], fu, fv)
-        eorder = np.argsort(act, kind="stable")
-        act = act[eorder]
-        early = early[eorder]
-    else:
-        act = early = np.empty(0, dtype=np.int64)
 
     parent = list(range(n))
     size = [1] * n

@@ -150,9 +150,6 @@ _SCALAR_TYPES = {
     "double": "f8", "float64": "f8",
 }
 
-_INT_TYPES = {"char", "int8", "uchar", "uint8", "short", "int16", "ushort",
-              "uint16", "int", "int32", "uint", "uint32"}
-
 
 def _parse_header(raw: bytes, path: Path):
     end = raw.find(b"end_header")
@@ -272,7 +269,7 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
 
     labels = None
     type_of = dict(zip(names, types))
-    if "label" in columns and type_of["label"] in _INT_TYPES:
+    if "label" in columns and _SCALAR_TYPES[type_of["label"]][0] in "iu":
         labels = np.asarray(columns["label"], dtype=np.int64)
         if labels.size and labels.min() < 0:
             raise DataError(f"{path}: negative label at point index {int(labels.argmin())}")

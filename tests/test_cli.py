@@ -253,6 +253,15 @@ class TestBench:
                                       "--d", "0.1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("sizes,params", [
+        ("-5,0", ["--algo", "zqs", "--d", "0.1"]),
+        ("0", ["--algo", "gdqspp", "--k", "5"]),
+    ])
+    def test_sizes_must_be_positive(self, runner, sizes, params):
+        result = runner.invoke(main, ["bench", f"--sizes={sizes}", *params, "--repeats", "1"])
+        assert result.exit_code == 2, result.output
+        assert "--sizes must be positive" in result.output
+
 
 def test_version(runner):
     result = runner.invoke(main, ["--version"])

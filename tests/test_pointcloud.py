@@ -201,6 +201,18 @@ class TestPlyLoader:
             "0 0 0 255 255 255 42\n")
         assert load_ply(path).labels.tolist() == [42]
 
+    def test_float_label_property_ignored(self, tmp_path):
+        path = tmp_path / "flab.ply"
+        r, g, b = label_to_color(7)
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "property float label\nend_header\n"
+            f"0 0 0 {r} {g} {b} 42.5\n"
+            "1 0 0 0 0 0 3\n")
+        assert load_ply(path).labels.tolist() == [7, 0]
+
     def test_distinct_color_mode(self, tmp_path):
         path = tmp_path / "distinct.ply"
         path.write_text(
