@@ -26,6 +26,8 @@ from .synth import FieldSpec, generate_field, parse_field_spec
 
 _DEFAULT_K = 1200
 _DEFAULT_BETA = 0.3
+# one clustering per value: a sweep longer than this is a typo in the step
+_MAX_SWEEP_VALUES = 1000
 
 
 def _build_params(algo: str, d: float | None, k: int | None, beta: float | None) -> Params:
@@ -115,8 +117,12 @@ def _parse_sweep(text: str) -> list[float]:
         raise click.UsageError(f"--sweep-d bounds and step must be finite: {text!r}")
     if step <= 0 or stop < start:
         raise click.UsageError(f"--sweep-d range is empty: {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if span >= _MAX_SWEEP_VALUES:
+        count = math.floor(span) + 1 if math.isfinite(span) else span
+        raise click.UsageError(f"--sweep-d {text!r} gives {count} values; "
+                               f"at most {_MAX_SWEEP_VALUES} are allowed")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 @main.command("eval")

@@ -28,7 +28,6 @@ Ordering conventions (used consistently everywhere):
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,7 +161,7 @@ class Params:
                 + "; ".join(detail))
         if self.d is not None and not self.d > 0:
             raise ParameterError(f"d must be positive, got {self.d}")
-        if self.k is not None and (int(self.k) != self.k or self.k < 1):
+        if self.k is not None and not (1 <= self.k < np.inf and int(self.k) == self.k):
             raise ParameterError(f"k must be a positive integer, got {self.k}")
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:
             raise ParameterError(f"beta must lie in [0, 1], got {self.beta}")
@@ -250,11 +249,8 @@ def knn_density_2d(cloud: PointCloud, k: int, workers: int = 1,
     ``keep_windows`` caches the neighbor windows on the result so a following
     core extraction reuses this query instead of issuing its own.
     """
-    n = cloud.n
-    if int(k) != k or not 1 <= k <= n - 1:
-        raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     index2d = SpatialIndex(cloud.points[:, :2])
-    rho, idx = index2d.knn_window(int(k), workers=workers, return_indices=keep_windows)
+    rho, idx = index2d.knn_window(k, workers=workers, return_indices=keep_windows)
     return DensityField(rho=rho, k=int(k), index2d=index2d, knn_idx=idx)
 
 
@@ -278,18 +274,20 @@ def gdqs_parents(cloud: PointCloud, d: float, density: DensityField,
 
 def _sweep_edges(density: DensityField, workers: int):
     """Earlier-neighbor lists within each point's own k-NN radius, and the
-    mutual edges the core sweep merges along, as ``(act, early)`` sorted by
-    activation step.
+    mutual edges the core sweep merges along, grouped by owner.
 
     Row i holds the j sweeping before i with dist2d(i,j)^2 <= rho_i (tie
     inclusive); the entry is mutual iff also dist2d(i,j)^2 <= rho_j, so each
-    mutual edge appears once, in the row of its later endpoint, and fires at
-    that endpoint's sweep step. Each point links to its row's first mutual
-    entry (a root if it has none). Links point to earlier points, so the swept
-    part of every link tree is connected through links at every step; a
-    mutual edge inside one tree never joins two components and is dropped.
-    Links and tree-crossing edges span the same components as all mutual
-    edges for every sweep prefix.
+    mutual edge appears once, in the row of its later endpoint (its owner),
+    and fires at the owner's sweep step. Each point links to its row's first
+    mutual entry (a root if it has none). Links point to earlier points, so
+    the swept part of every link tree is connected through links at every
+    step; a mutual edge inside one tree never joins two components and is
+    dropped. Links and tree-crossing edges span the same components as all
+    mutual edges for every sweep prefix.
+
+    Returns ``(offsets, flat, eoff, early)``: the earlier-neighbor lists as
+    CSR, and the kept edges of owner i as ``early[eoff[i]:eoff[i + 1]]``.
     """
     n = density.n
     if n >= 1 << 31:
@@ -307,9 +305,9 @@ def _sweep_edges(density: DensityField, workers: int):
     link[owner[first]] = early[first]
     tree = _resolve_to_fixpoint(link)
     keep = first | (tree[owner] != tree[early])
-    act = density.sweep_rank[owner[keep]]
-    eorder = np.argsort(act, kind="stable")
-    return offsets, flat, act[eorder], early[keep][eorder]
+    eoff = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[keep], minlength=n), out=eoff[1:])
+    return offsets, flat, eoff, early[keep]
 
 
 def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
@@ -331,9 +329,21 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     firing at a step touches that step's point, so the merged sets, modes and
     lock states do not depend on which spanning edges are used.
 
-    Infinite-density modes (coincident projections) lock when the sweep
-    reaches finite densities; with beta == 0 they lock immediately after
-    their mode is processed.
+    Locking needs no heap: a pointer ``due`` walks the sweep order behind the
+    current step. The lock threshold (1 - beta) * density never rises along
+    the sweep (float multiplication by a constant >= 0 is monotone), so the
+    points whose threshold the level has crossed form a prefix of it. A
+    component's mode is its first point in sweep order, so the first due
+    point of a component is its mode: a due point that finds its component
+    unlocked locks it, and cores come out densest mode first. Walking the
+    rest of the order at the end locks the leftover components in the same
+    order. Infinite-density modes (coincident projections) lock when the
+    sweep reaches finite densities; with beta == 0 every swept infinite
+    point is due at once, which locks each such mode right after its step.
+    With beta == 1 the threshold is 0 (NaN for infinite densities) and
+    nothing comes due. A point absorbed by a locked neighbor marks its own
+    component locked instead of joining that neighbor's: merging two locked
+    components changes no snapshot, so which one takes the point is moot.
     """
     if not 0.0 <= beta <= 1.0:
         raise ParameterError(f"beta must lie in [0, 1], got {beta}")
@@ -345,22 +355,11 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     if n == 0:
         return CoreSet((), np.empty(0, np.int64), np.empty(0, np.float64), 0)
 
-    offsets, targets, act, early = _sweep_edges(density, workers)
-    drank = density.sweep_rank
-    order = density.sweep_order
-    vals = density.values
-
+    offsets, targets, eoff, early = _sweep_edges(density, workers)
     parent = list(range(n))
-    size = [1] * n
-    mode = list(range(n))
-    head = list(range(n))
-    tail = list(range(n))
-    nxt = [-1] * n
+    members = [[x] for x in range(n)]
     locked = [False] * n
     locked_pt = np.zeros(n, dtype=bool)
-    drank_l = drank.tolist()
-    vals_l = vals.tolist()
-
     core_members: list[np.ndarray] = []
     core_modes: list[int] = []
 
@@ -370,94 +369,59 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
             x = parent[x]
         return x
 
-    def lock_root(r: int) -> None:
-        members = []
-        x = head[r]
-        while x != -1:
-            members.append(x)
-            locked_pt[x] = True
-            x = nxt[x]
+    def freeze(r: int) -> None:
         locked[r] = True
-        core_members.append(np.asarray(sorted(members), dtype=np.int64))
-        core_modes.append(mode[r])
+        for x in members[r]:
+            locked_pt[x] = True
 
-    def union(rx: int, ry: int) -> int:
-        if rx == ry:
-            return rx
-        if size[rx] < size[ry]:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        size[rx] += size[ry]
-        la, lb = locked[rx], locked[ry]
-        if la and lb:
-            pass
-        elif la:
-            x = head[ry]
-            while x != -1:
-                locked_pt[x] = True
-                x = nxt[x]
-        elif lb:
-            x = head[rx]
-            while x != -1:
-                locked_pt[x] = True
-                x = nxt[x]
-            locked[rx] = True
-        else:
-            nxt[tail[rx]] = head[ry]
-            tail[rx] = tail[ry]
-            if drank_l[mode[ry]] < drank_l[mode[rx]]:
-                mode[rx] = mode[ry]
-        return rx
+    def lock(m: int) -> None:
+        r = find(m)
+        if not locked[r]:
+            freeze(r)
+            core_members.append(np.asarray(sorted(members[r]), dtype=np.int64))
+            core_modes.append(m)
+
+    def union(ra: int, rb: int) -> None:
+        if ra == rb:
+            return
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        parent[rb] = ra
+        if not (locked[ra] or locked[rb]):
+            members[ra] += members[rb]
+        elif not locked[ra]:
+            freeze(ra)
+        elif not locked[rb]:
+            freeze(rb)
 
     inf = float("inf")
-    heap: list[tuple[float, int, int]] = []
-    pending: list[int] = []
-    ecur = 0
-    n_edges = act.shape[0]
-    order_l = order.tolist()
-    act_l = act.tolist()
-    early_l = early.tolist()
-
+    keep = 1.0 - beta
+    order = density.sweep_order.tolist()
+    vals = density.values.tolist()
+    offsets = offsets.tolist()
+    eoff = eoff.tolist()
+    early = early.tolist()
+    due = 0
     for t in range(n):
-        p = order_l[t]
-        lam = vals_l[p]
+        p = order[t]
+        lam = vals[p]
         # (a) lock components whose relative threshold the level has crossed
-        if pending:
-            for m in pending:
-                r = find(m)
-                if not locked[r] and mode[r] == m:
-                    lock_root(r)
-            pending.clear()
-        while heap and -heap[0][0] > lam:
-            _, _, m = heapq.heappop(heap)
-            r = find(m)
-            if not locked[r] and mode[r] == m:
-                lock_root(r)
-        # (b) create the point's component and merge along activated edges
-        if beta != 1.0:
-            heapq.heappush(heap, (-(1.0 - beta) * lam, t, p))
-        while ecur < n_edges and act_l[ecur] == t:
-            union(find(p), find(early_l[ecur]))
-            ecur += 1
+        while due < t and (keep * vals[order[due]] > lam
+                           or beta == 0.0 and vals[order[due]] == inf):
+            lock(order[due])
+            due += 1
+        # (b) merge the point's component along its activated edges
+        for j in early[eoff[p]:eoff[p + 1]]:
+            union(find(p), find(j))
         # (c) absorb into a locked component reachable within own k-NN radius
         r = find(p)
-        if not locked[r]:
-            tg = targets[offsets[p]:offsets[p + 1]]
-            hit = tg[locked_pt[tg]]
-            if hit.size:
-                union(find(int(hit[0])), r)
-            elif beta == 0.0 and lam == inf:
-                pending.append(mode[r])
+        if not locked[r] and np.count_nonzero(locked_pt[targets[offsets[p]:offsets[p + 1]]]):
+            freeze(r)
+    for m in order[due:]:
+        lock(m)
 
-    leftovers = [x for x in range(n) if find(x) == x and not locked[x]]
-    leftovers.sort(key=lambda r: drank_l[mode[r]])
-    for r in leftovers:
-        lock_root(r)
-
-    corder = np.argsort(drank[np.asarray(core_modes, dtype=np.int64)], kind="stable")
-    cores = tuple(core_members[i] for i in corder)
-    mode_idx = np.asarray([core_modes[i] for i in corder], dtype=np.int64)
-    return CoreSet(cores, mode_idx, vals[mode_idx], n)
+    mode_idx = np.asarray(core_modes, dtype=np.int64)
+    return CoreSet(tuple(core_members), mode_idx, density.values[mode_idx], n)
 
 
 def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet,

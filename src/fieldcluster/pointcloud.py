@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DataError, ParameterError, PlyError
 
 # Odd multiplier (Knuth's 32-bit golden-ratio constant); odd => invertible
-# mod 2^24, so the palette is a bijection on 24-bit label space.
+# mod 2^24, so the palette is a bijection on 24-bit label space. It maps 0,
+# and only 0, to 0, which makes black the color of label 0 alone.
 _PALETTE_MULTIPLIER = 2654435761
 _LABEL_SPACE = 1 << 24
 _PALETTE_INVERSE = pow(_PALETTE_MULTIPLIER % _LABEL_SPACE, -1, _LABEL_SPACE)
@@ -34,13 +35,7 @@ def label_to_color(label: int) -> tuple[int, int, int]:
     """
     if label < 0 or label >= _LABEL_SPACE:
         raise ParameterError(f"label {label} outside palette range [0, 2^24)")
-    if label == 0:
-        return (0, 0, 0)
     h = (label * _PALETTE_MULTIPLIER) % _LABEL_SPACE
-    if h == 0:
-        # Unreachable for 0 < label < 2^24 (odd multiplier is a bijection);
-        # kept so the "avoid black" remap is explicit.
-        h = ((label + 1) * _PALETTE_MULTIPLIER) % _LABEL_SPACE
     return ((h >> 16) & 0xFF, (h >> 8) & 0xFF, h & 0xFF)
 
 
@@ -48,19 +43,17 @@ def color_to_label(rgb: tuple[int, int, int]) -> int:
     """Exact inverse of :func:`label_to_color` (total on 24-bit color space)."""
     r, g, b = rgb
     v = ((int(r) & 0xFF) << 16) | ((int(g) & 0xFF) << 8) | (int(b) & 0xFF)
-    if v == 0:
-        return 0
     return (v * _PALETTE_INVERSE) % _LABEL_SPACE
 
 
 def colors_for_labels(labels: np.ndarray) -> np.ndarray:
     """Vectorized palette: (n,) labels -> (n, 3) uint8 colors."""
-    labels = np.asarray(labels, dtype=np.uint64)
-    if labels.size and labels.max() >= _LABEL_SPACE:
-        bad = int(labels.argmax())
-        raise ParameterError(f"label {int(labels[bad])} outside palette range [0, 2^24)")
-    h = (labels * np.uint64(_PALETTE_MULTIPLIER)) & np.uint64(_LABEL_SPACE - 1)
-    h[labels == 0] = 0
+    labels = np.asarray(labels)
+    bad = (labels < 0) | (labels >= _LABEL_SPACE)
+    if bad.any():
+        raise ParameterError(
+            f"label {labels[bad.argmax()]} outside palette range [0, 2^24)")
+    h = (labels.astype(np.uint64) * np.uint64(_PALETTE_MULTIPLIER)) & np.uint64(_LABEL_SPACE - 1)
     out = np.empty((labels.shape[0], 3), dtype=np.uint8)
     out[:, 0] = (h >> np.uint64(16)) & np.uint64(0xFF)
     out[:, 1] = (h >> np.uint64(8)) & np.uint64(0xFF)
@@ -80,7 +73,6 @@ def labels_for_colors(rgb: np.ndarray, mode: str = "palette") -> np.ndarray:
     codes = (rgb[:, 0] << np.uint64(16)) | (rgb[:, 1] << np.uint64(8)) | rgb[:, 2]
     if mode == "palette":
         labels = (codes * np.uint64(_PALETTE_INVERSE)) & np.uint64(_LABEL_SPACE - 1)
-        labels[codes == 0] = 0
         return labels.astype(np.int64)
     if mode == "distinct":
         uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)

@@ -113,8 +113,9 @@ class SpatialIndex:
         duplicates need no special casing); idx is the (n, min(n, k+2))
         neighbor-index window when requested, else None.
         """
-        if int(k) != k or not 1 <= k <= self.n - 1:
+        if not 1 <= k <= self.n - 1 or int(k) != k:
             raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {self.n - 1}, got {k}")
+        k = int(k)
         kq = min(self.n, k + 2)
         rho = np.empty(self.n, dtype=np.float64)
         all_idx = np.empty((self.n, kq), dtype=np.int32) if return_indices else None

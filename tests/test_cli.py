@@ -182,7 +182,8 @@ class TestEval:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("sweep", ["nan:1:0.1", "0.1:inf:0.1", "0.1:1:nan", "-inf:1:0.1",
-                                       "1:0.1:0.1", "0.1:1:0", "a:b:c"])
+                                       "1:0.1:0.1", "0.1:1:0", "a:b:c", "0.1:1:1e-12",
+                                       "0:1:1e-320"])
     def test_sweep_rejects_bad_range(self, small_field, runner, sweep):
         result = runner.invoke(main, ["eval", str(small_field), str(small_field),
                                       "--sweep-d", sweep, "--algo", "zqs"])

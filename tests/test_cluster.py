@@ -113,10 +113,12 @@ class TestKnnDensity:
         assert np.array_equal(dens.sweep_rank, scaled.sweep_rank)
 
     def test_k_validation(self):
-        with pytest.raises(ParameterError):
-            knn_density_2d(LINE4, 0)
-        with pytest.raises(ParameterError):
-            knn_density_2d(LINE4, 4)
+        for k in (0, 4, float("inf"), float("nan")):
+            with pytest.raises(ParameterError):
+                knn_density_2d(LINE4, k)
+        for k in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError):
+                Params("gdqspp", k=k, beta=0.3).validate()
 
     def test_caller_arrays_stay_writable(self):
         dens = knn_density_2d(LINE4, 2)

@@ -44,6 +44,8 @@ class TestPalette:
     def test_label_out_of_range(self):
         with pytest.raises(ParameterError):
             label_to_color(2**24)
+        with pytest.raises(ParameterError, match="label -1 outside"):
+            colors_for_labels(np.array([3, -1]))
 
     def test_vectorized_matches_scalar(self, rng):
         labels = rng.integers(0, 2**24, size=500)

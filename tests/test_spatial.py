@@ -147,7 +147,7 @@ class TestKthNeighborDistance:
 
     def test_k_out_of_range(self):
         idx = SpatialIndex(LINE3)
-        for k in (3, 0, 1.5):
+        for k in (3, 0, 1.5, float("inf"), float("nan")):
             with pytest.raises(ParameterError):
                 idx.knn_window(k)
 
