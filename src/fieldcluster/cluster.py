@@ -207,7 +207,7 @@ def _resolve_to_fixpoint(parent: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------------------- algorithms
 
-def rain_parents(cloud: PointCloud, d: float, workers: int = 1,
+def rain_parents(cloud: PointCloud, d: float,
                  index: SpatialIndex | None = None) -> ParentForest:
     """Link every point to the (z, index)-minimum of its open d-ball.
 
@@ -222,7 +222,7 @@ def rain_parents(cloud: PointCloud, d: float, workers: int = 1,
         return ParentForest(np.empty(0, dtype=np.int64))
     if index is None:
         index = SpatialIndex(cloud.points)
-    return ParentForest(index.argmin_rank_in_ball(_height_rank(cloud), d, workers=workers))
+    return ParentForest(index.argmin_rank_in_ball(_height_rank(cloud), d))
 
 
 def zqs_parents(cloud: PointCloud, d: float, workers: int = 1,
@@ -470,7 +470,7 @@ def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     algo = params.algorithm
     if algo == "rain":
-        return forest_to_labels(rain_parents(cloud, params.d, workers=workers))
+        return forest_to_labels(rain_parents(cloud, params.d))
     if algo == "zqs":
         return forest_to_labels(zqs_parents(cloud, params.d, workers=workers))
     if n < 2:

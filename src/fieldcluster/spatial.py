@@ -17,7 +17,9 @@ resolving each point as soon as its window provably contains the answer;
 windows come back from scipy as arrays, which keeps the inner loops
 vectorized. The lowest-rank-in-ball search does not use the windows: it
 descends a hierarchy of kD-trees built per call over blocks of the points in
-rank order, so its cost does not grow with the number of points in a ball.
+rank order, so its cost does not grow with the number of points in a ball,
+and it runs tile by tile over the ground plane, each tile with the points
+near it, so its cost grows linearly with the cloud.
 
 The index is read-only after construction; queries may run from any number
 of threads (``workers`` forwards to scipy's parallel query dispatch and has
@@ -38,8 +40,12 @@ _LEAF = 64
 # relative slack on the tree's distance bound, far above the few ulps by which
 # the tree's distance may differ from the exact squared distance
 _BOUND_SLACK = 1.0 + 1e-9
-# query batches smaller than this run on one thread: starting the pool costs more
-_PARALLEL_ROWS = 4096
+# argmin_rank_in_ball: the ground plane is halved into tiles of at most this
+# many points or about _TILE_MIN_SIDE * d wide, each searched together with
+# the points within _TILE_MARGIN * d of it, a margin far above rounding
+_TILE_POINTS = 8192
+_TILE_MIN_SIDE = 8
+_TILE_MARGIN = 1.0625
 
 
 def _sq_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -47,6 +53,62 @@ def _sq_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     as the brute-force oracles compute them."""
     diff = p - q
     return np.einsum("...i,...i->...", diff, diff)
+
+
+def _lowest_in_ball(ranked: np.ndarray, q: np.ndarray, own: np.ndarray, d: float) -> np.ndarray:
+    """For each query point q[r], whose own position in the rank-ordered
+    points ``ranked`` is own[r], the first position holding a point strictly
+    inside its d-ball.
+
+    Each query's candidate starts as the whole rank range, which holds a ball
+    point (itself), and moves to its left half when that half holds a point
+    strictly inside d, to its right half otherwise, so it always holds the
+    answer. A left half is asked with one batched k=1 query per block against
+    a kD-tree over the block (skipped when the query itself lies in it);
+    blocks of ``_LEAF`` points or fewer are scanned directly for their first
+    ball point. The trees are queried with a slightly inflated bound, so a
+    point strictly inside d is never pruned, and the answer is rechecked with
+    the exact squared distance; when the nearest point lies in the inflated
+    ball but not strictly inside d, the block's inflated ball is rechecked in
+    full. The cost does not depend on how many points a ball holds.
+    """
+    m = ranked.shape[0]
+    cap = d * d
+    bound = d * _BOUND_SLACK
+    start = np.zeros(q.shape[0], dtype=np.int64)  # first rank of each candidate block
+    half = _LEAF
+    while half < m:
+        half *= 2
+    while half > _LEAF:
+        half //= 2
+        # a query inside the left half is its own witness
+        ask = np.flatnonzero(own >= start + half)
+        if not ask.size:
+            continue
+        ask = ask[np.argsort(start[ask], kind="stable")]
+        for rows in np.split(ask, np.flatnonzero(np.diff(start[ask])) + 1):
+            b = start[rows[0]]
+            block = ranked[b:b + half]
+            tree = cKDTree(block)
+            qr = q[rows]
+            _, j = tree.query(qr, k=1, distance_upper_bound=bound)
+            hit = np.flatnonzero(j < block.shape[0])
+            inside = np.zeros(rows.size, dtype=bool)
+            inside[hit] = _sq_dist(block[j[hit]], qr[hit]) < cap
+            unsure = hit[~inside[hit]]
+            for r, ball in zip(unsure, tree.query_ball_point(qr[unsure], bound)):
+                inside[r] = (_sq_dist(block[ball], qr[r]) < cap).any()
+            start[rows[~inside]] += half
+    out = np.empty(q.shape[0], dtype=np.int64)
+    rows_per_chunk = max(1, _CHUNK_ELEMS // _LEAF)
+    for lo in range(0, q.shape[0], rows_per_chunk):
+        sub = slice(lo, lo + rows_per_chunk)
+        pos = np.minimum(start[sub, None] + np.arange(_LEAF), m - 1)
+        d2 = _sq_dist(ranked[pos], q[sub, None, :])
+        # ranks ascend along a row, and its block holds a ball point ahead of
+        # any padding past m
+        out[sub] = start[sub] + np.argmax(d2 < cap, axis=1)
+    return out
 
 
 class SpatialIndex:
@@ -164,71 +226,70 @@ class SpatialIndex:
 
     # ------------------------------------------------- rank-directed queries
 
-    def argmin_rank_in_ball(self, rank: np.ndarray, d: float, workers: int = 1) -> np.ndarray:
+    def argmin_rank_in_ball(self, rank: np.ndarray, d: float) -> np.ndarray:
         """For each member, the point of minimal rank within the open d-ball.
 
         rank must be a permutation of 0..n-1 (a strict total order); the ball
         always contains the member itself, so the result is total.
 
-        Descends a power-of-two hierarchy over the points in rank order (the
-        static decomposition of Bentley & Saxe, 1980): each point's candidate
-        starts as the whole rank range, which holds a ball point (itself), and
-        moves to its left half when that half holds a point strictly inside d,
-        to its right half otherwise, so it always holds the answer. A left half
-        is asked with one batched k=1 query per block against a kD-tree over
-        the block (skipped when the point itself lies in it); blocks of
-        ``_LEAF`` points or fewer are scanned directly for their first ball
-        point. The trees are queried with a slightly inflated bound, so a point
-        strictly inside d is never pruned, and the answer is rechecked with the
-        exact squared distance; when the nearest point lies in the inflated
-        ball but not strictly inside d, the block's inflated ball is rechecked
-        in full. The cost does not depend on how many points a ball holds.
+        The ground plane is cut into tiles of bounded size (``_tiles``), and
+        each tile's points are searched among the points near the tile, which
+        hold their balls, so the cost grows linearly with the cloud. Within a
+        tile the search descends a power-of-two hierarchy over the points in
+        rank order (the static decomposition of Bentley & Saxe, 1980; see
+        ``_lowest_in_ball``), so it does not grow with how many points a ball
+        holds. It runs on one thread: a tile's query batches are too small
+        for scipy's thread pool to pay off.
         """
         # d * d must not underflow: the ball would then lose its own centre
         if not (d > 0 and d * d > 0):
             raise ParameterError(f"radius d must be positive, got {d}")
-        n = self.n
-        order = np.empty(n, dtype=np.int64)
-        order[rank] = np.arange(n)
-        ranked = self.points[order]
-        cap = d * d
-        bound = d * _BOUND_SLACK
-        start = np.zeros(n, dtype=np.int64)  # first rank of each candidate block
-        half = _LEAF
-        while half < n:
-            half *= 2
-        while half > _LEAF:
-            half //= 2
-            # a point inside the left half is its own witness
-            ask = np.flatnonzero(rank >= start + half)
-            if not ask.size:
-                continue
-            ask = ask[np.argsort(start[ask], kind="stable")]
-            for rows in np.split(ask, np.flatnonzero(np.diff(start[ask])) + 1):
-                b = start[rows[0]]
-                block = ranked[b:b + half]
-                tree = cKDTree(block)
-                q = self.points[rows]
-                _, j = tree.query(q, k=1, distance_upper_bound=bound,
-                                  workers=workers if rows.size >= _PARALLEL_ROWS else 1)
-                hit = np.flatnonzero(j < block.shape[0])
-                inside = np.zeros(rows.size, dtype=bool)
-                inside[hit] = _sq_dist(block[j[hit]], q[hit]) < cap
-                unsure = hit[~inside[hit]]
-                for r, ball in zip(unsure, tree.query_ball_point(q[unsure], bound)):
-                    inside[r] = (_sq_dist(block[ball], q[r]) < cap).any()
-                start[rows[~inside]] += half
-        out = np.empty(n, dtype=np.int64)
-        rows_per_chunk = max(1, _CHUNK_ELEMS // _LEAF)
-        for lo in range(0, n, rows_per_chunk):
-            sub = np.arange(lo, min(n, lo + rows_per_chunk))
-            pos = np.minimum(start[sub][:, None] + np.arange(_LEAF), n - 1)
-            d2 = _sq_dist(ranked[pos], self.points[sub][:, None, :])
-            # ranks ascend along a row, and its block holds a ball point
-            # ahead of any padding past n
-            first = np.argmax(d2 < cap, axis=1)
-            out[sub] = order[pos[np.arange(sub.size), first]]
+        out = np.empty(self.n, dtype=np.int64)
+        order = np.empty(self.n, dtype=np.int64)
+        order[rank] = np.arange(self.n)
+        for core, region in self._tiles(order, d):
+            own = np.searchsorted(rank[region], rank[core])
+            out[core] = region[_lowest_in_ball(self.points[region], self.points[core], own, d)]
         return out
+
+    def _tiles(self, order: np.ndarray, d: float):
+        """Yield (core, region) pairs whose cores partition the points; each
+        region holds the open d-ball of every point of its core, the core
+        included, and lists its points in ``order`` (a permutation of all
+        points).
+
+        The ground plane (x, y) is halved at the median of the longer side of
+        a core's bounding box until the core holds at most ``_TILE_POINTS``
+        points or that side is under twice ``_TILE_MIN_SIDE * d``. Each half
+        keeps the points of its parent's region within ``_TILE_MARGIN * d`` of
+        its side of the cut, so a region holds every point within that margin
+        of its core's box, and a ball point lies within d. Nothing is cut when
+        the coordinates are too coarse for the margin to exceed their rounding.
+        """
+        if self.n == 0:
+            return
+        margin = d * _TILE_MARGIN
+        everything = np.arange(self.n)
+        if not 1024 * np.spacing(np.abs(self.points[:, :2]).max()) < margin - d:
+            yield everything, order
+            return
+        cols = [np.ascontiguousarray(self.points[:, a]) for a in (0, 1)]
+        pieces = [(everything, order, [c.min() for c in cols], [c.max() for c in cols])]
+        while pieces:
+            core, region, lo, hi = pieces.pop()
+            axis = int(hi[1] - lo[1] > hi[0] - lo[0])
+            if core.size <= _TILE_POINTS or hi[axis] - lo[axis] < 2 * _TILE_MIN_SIDE * d:
+                yield core, region
+                continue
+            c = cols[axis]
+            half = core.size // 2
+            split = np.argpartition(c[core], half)
+            cut = c[core[split[half]]]
+            near = c[region]
+            left_hi, right_lo = list(hi), list(lo)
+            left_hi[axis] = right_lo[axis] = cut
+            pieces.append((core[split[half:]], region[near >= cut - margin], right_lo, hi))
+            pieces.append((core[split[:half]], region[near <= cut + margin], lo, left_hi))
 
     def nearest_below_rank(self, rank: np.ndarray, d: float | None = None,
                            workers: int = 1, subset: np.ndarray | None = None) -> np.ndarray:

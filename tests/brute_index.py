@@ -30,7 +30,7 @@ class BruteIndex:
         np.cumsum(np.bincount(owners, minlength=self.n), out=offsets[1:])
         return offsets, flat.astype(np.int32), self._d2[owners, flat] <= rho[flat]
 
-    def argmin_rank_in_ball(self, rank, d, workers=1):
+    def argmin_rank_in_ball(self, rank, d):
         order = np.empty(self.n, dtype=np.int64)
         order[rank] = np.arange(self.n)
         masked = np.where(self._d2 < d * d, rank[None, :], self.n)

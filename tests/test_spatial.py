@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fieldcluster import DataError, ParameterError, PointCloud, SpatialIndex
+from fieldcluster import DataError, ParameterError, PointCloud, SpatialIndex, spatial
 from fieldcluster.cluster import rain_parents
 from brute_index import BruteIndex
 from conftest import make_cloud, make_cloud_with_stems
@@ -267,6 +267,27 @@ class TestBulkQueries:
                 brute_argmin_rank_in_ball(D2, rank, d)
             assert np.array_equal(rain_parents(PointCloud(pts), d).parent,
                                   slow_rain_parents(pts, d))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_argmin_rank_in_ball_across_tiles(self, seed, monkeypatch):
+        # tiles of at most 40 points and at least d wide: most balls cross a
+        # cut, on generic coordinates and on lattice points exactly d apart
+        monkeypatch.setattr(spatial, "_TILE_POINTS", 40)
+        monkeypatch.setattr(spatial, "_TILE_MIN_SIDE", 1)
+        rng = np.random.default_rng(seed)
+        sites = rng.integers(0, [20, 10, 4], size=(700, 3))
+        lattice = np.concatenate([sites, sites[rng.integers(0, 700, size=100)]])
+        for pts, radii in ((make_cloud(20 + seed, 800), (0.1, 0.25, 0.5)),
+                           (lattice.astype(np.float64), (1.0, np.sqrt(2.0), 2.0))):
+            idx = SpatialIndex(pts)
+            rank = rng.permutation(len(pts))
+            D2 = sq_dist_matrix(pts)
+            for d in radii:
+                cores = [core for core, _ in idx._tiles(np.argsort(rank), d)]
+                assert len(cores) >= 8
+                assert np.array_equal(np.sort(np.concatenate(cores)), np.arange(len(pts)))
+                assert idx.argmin_rank_in_ball(rank, d).tolist() == \
+                    brute_argmin_rank_in_ball(D2, rank, d)
 
     def test_nearest_below_rank_matches_brute(self):
         pts = make_cloud(12, 300)
