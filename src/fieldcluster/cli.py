@@ -1,8 +1,8 @@
 """Command-line entry point: cluster, eval, synth, and bench subcommands.
 
 Data and JSON reports go to stdout or files; diagnostics go to stderr. The
-exit status is 0 iff no error was reported. The thread-count flag only
-parallelizes spatial queries and never changes any output byte.
+exit status is 0 iff no error was reported. ``--threads`` threads only the
+k-NN density query (gdqs, gdqspp) and never changes any output byte.
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ def _build_params(algo: str, d: float | None, k: int | None, beta: float | None)
     return params
 
 
-def _workers(threads: int | None) -> int:
-    return -1 if threads is None else threads
+# an absent --threads becomes scipy's "all cores" (-1)
+_threads_option = click.option(
+    "--threads", type=click.IntRange(min=1), callback=lambda ctx, param, value: value or -1,
+    help="threads of the k-NN density query (gdqs, gdqspp) [default: all cores]")
 
 
 def _write_report(doc: dict, path: str | None) -> None:
@@ -74,8 +76,7 @@ def main() -> None:
 @click.option("--beta", type=float, default=None,
               help=f"core density fraction in [0,1] [default: {_DEFAULT_BETA}]")
 @click.option("--binary/--ascii", "binary", default=False, help="output PLY encoding")
-@click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="query threads [default: all cores]")
+@_threads_option
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="write a JSON run report")
 def cmd_cluster(input_ply, output_ply, algo, d, k, beta, binary, threads, report_path):
@@ -84,7 +85,7 @@ def cmd_cluster(input_ply, output_ply, algo, d, k, beta, binary, threads, report
     try:
         cloud = load_ply(input_ply)
         start = time.perf_counter()
-        labels = cluster(cloud, params, workers=_workers(threads))
+        labels = cluster(cloud, params, workers=threads)
         elapsed = time.perf_counter() - start
         save_ply(cloud, labels, output_ply, binary=binary)
     except FieldClusterError as exc:
@@ -140,7 +141,7 @@ def _parse_sweep(text: str) -> list[float]:
 @click.option("--algo", type=click.Choice(["rain", "zqs", "gdqs"]), default=None,
               help="algorithm for --sweep-d runs")
 @click.option("--k", type=int, default=None, help="density kernel size for --sweep-d runs")
-@click.option("--threads", type=click.IntRange(min=1), default=None)
+@_threads_option
 def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
              sweep_d, algo, k, threads):
     """Match PRED_PLY clusters against TRUTH_PLY and print a JSON report."""
@@ -188,7 +189,7 @@ def _run_sweep(input_ply, truth_ply, truth_mode, ignore_ground, values,
     runs = []
     for d in values:
         params = _build_params(algo, d, k, None)
-        labels = cluster(input_cloud, params, workers=_workers(threads))
+        labels = cluster(input_cloud, params, workers=threads)
         match = match_clusters(labels, truth.labels, ignore_truth_label_zero=ignore_ground)
         n_clusters = int(labels.max()) if labels.size else 0
         runs.append({
@@ -260,7 +261,7 @@ def _bench_spec(n: int, seed: int) -> FieldSpec:
 @click.option("--beta", type=float, default=None)
 @click.option("--repeats", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=None)
+@_threads_option
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def cmd_bench(sizes, algo, d, k, beta, repeats, seed, threads, report_path):
     """Time the clustering (I/O excluded) on synthetic fields of growing size."""
@@ -281,11 +282,11 @@ def cmd_bench(sizes, algo, d, k, beta, repeats, seed, threads, report_path):
     try:
         for n in size_list:
             field = generate_field(_bench_spec(n, seed))
-            cluster(field, params, workers=_workers(threads))
+            cluster(field, params, workers=threads)
             times = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                cluster(field, params, workers=_workers(threads))
+                cluster(field, params, workers=threads)
                 times.append(time.perf_counter() - start)
             med = statistics.median(times)
             ratio = med / prev if prev else None

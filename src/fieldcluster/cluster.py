@@ -207,7 +207,7 @@ def _resolve_to_fixpoint(parent: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------------------- algorithms
 
-def rain_parents(cloud: PointCloud, d: float,
+def rain_parents(cloud: PointCloud, d: float, *,
                  index: SpatialIndex | None = None) -> ParentForest:
     """Link every point to the (z, index)-minimum of its open d-ball.
 
@@ -225,7 +225,7 @@ def rain_parents(cloud: PointCloud, d: float,
     return ParentForest(index.argmin_rank_in_ball(_height_rank(cloud), d))
 
 
-def zqs_parents(cloud: PointCloud, d: float, workers: int = 1,
+def zqs_parents(cloud: PointCloud, d: float, *,
                 index: SpatialIndex | None = None) -> ParentForest:
     """Quickshift with height as inverse density: link each point to its
     nearest strictly lower (z, then index) neighbor within d; roots have no
@@ -237,7 +237,7 @@ def zqs_parents(cloud: PointCloud, d: float, workers: int = 1,
         return ParentForest(np.empty(0, dtype=np.int64))
     if index is None:
         index = SpatialIndex(cloud.points)
-    nb = index.nearest_below_rank(_height_rank(cloud), d=d, workers=workers)
+    nb = index.nearest_below_rank(_height_rank(cloud), d=d)
     return ParentForest(np.where(nb < 0, np.arange(n), nb))
 
 
@@ -247,15 +247,15 @@ def knn_density_2d(cloud: PointCloud, k: int, workers: int = 1,
     aligned). Coincident projections get the infinite-density class.
 
     ``keep_windows`` caches the neighbor windows on the result so a following
-    core extraction reuses this query instead of issuing its own.
+    core extraction reuses this query instead of issuing its own. ``workers``
+    is the query's thread count, the only query that takes one.
     """
     index2d = SpatialIndex(cloud.points[:, :2])
     rho, idx = index2d.knn_window(k, workers=workers, return_indices=keep_windows)
     return DensityField(rho=rho, k=int(k), index2d=index2d, knn_idx=idx)
 
 
-def gdqs_parents(cloud: PointCloud, d: float, density: DensityField,
-                 workers: int = 1) -> ParentForest:
+def gdqs_parents(cloud: PointCloud, d: float, density: DensityField) -> ParentForest:
     """2D quickshift under the k-NN density: link each point to its nearest
     (2D distance, then index) neighbor of strictly higher density within d.
 
@@ -268,11 +268,11 @@ def gdqs_parents(cloud: PointCloud, d: float, density: DensityField,
     n = cloud.n
     if density.n != n:
         raise ContractError(f"density covers {density.n} points, cloud has {n}")
-    nb = density.index2d.nearest_below_rank(density.parent_rank, d=d, workers=workers)
+    nb = density.index2d.nearest_below_rank(density.parent_rank, d=d)
     return ParentForest(np.where(nb < 0, np.arange(n), nb))
 
 
-def _sweep_edges(density: DensityField, workers: int):
+def _sweep_edges(density: DensityField):
     """Earlier-neighbor lists within each point's own k-NN radius, and the
     mutual edges the core sweep merges along, grouped by owner.
 
@@ -284,7 +284,8 @@ def _sweep_edges(density: DensityField, workers: int):
     the swept part of every link tree is connected through links at every
     step; a mutual edge inside one tree never joins two components and is
     dropped. Links and tree-crossing edges span the same components as all
-    mutual edges for every sweep prefix.
+    mutual edges for every sweep prefix. A density built without
+    ``keep_windows`` has its windows queried again here, on one thread.
 
     Returns ``(offsets, flat, eoff, early)``: the earlier-neighbor lists as
     CSR, and the kept edges of owner i as ``early[eoff[i]:eoff[i + 1]]``.
@@ -294,7 +295,7 @@ def _sweep_edges(density: DensityField, workers: int):
         raise DataError("clouds beyond 2^31 points are not supported")
     knn_idx = density.knn_idx
     if knn_idx is None:
-        _, knn_idx = density.index2d.knn_window(density.k, workers=workers, return_indices=True)
+        _, knn_idx = density.index2d.knn_window(density.k, return_indices=True)
     offsets, flat, mutual = density.index2d.directed_radius_lists(
         density.rho, density.sweep_rank, knn_idx)
     owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))[mutual]
@@ -310,8 +311,7 @@ def _sweep_edges(density: DensityField, workers: int):
     return offsets, flat, eoff, early[keep]
 
 
-def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
-                  workers: int = 1) -> CoreSet:
+def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float) -> CoreSet:
     """Find the dense 2D regions that seed quickshift++ clusters.
 
     Sweeps points in decreasing density order over the mutual k-NN graph,
@@ -355,7 +355,7 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     if n == 0:
         return CoreSet((), np.empty(0, np.int64), np.empty(0, np.float64), 0)
 
-    offsets, targets, eoff, early = _sweep_edges(density, workers)
+    offsets, targets, eoff, early = _sweep_edges(density)
     parent = list(range(n))
     members = [[x] for x in range(n)]
     locked = [False] * n
@@ -424,8 +424,8 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     return CoreSet(tuple(core_members), mode_idx, density.values[mode_idx], n)
 
 
-def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet,
-                  workers: int = 1, index3: SpatialIndex | None = None) -> np.ndarray:
+def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
+                  index3: SpatialIndex | None = None) -> np.ndarray:
     """Label core points by their core, then climb every remaining point through
     its nearest strictly-denser 3D neighbor (uncapped search) until a core is
     reached. Returns labels renumbered 1..C by first appearance."""
@@ -442,7 +442,7 @@ def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet,
     if noncore.size:
         if index3 is None:
             index3 = SpatialIndex(cloud.points)
-        nb = index3.nearest_below_rank(density.sweep_rank, workers=workers, subset=noncore)
+        nb = index3.nearest_below_rank(density.sweep_rank, subset=noncore)
         if (nb[noncore] < 0).any():
             raise ContractError("a non-core point has no denser point to climb to")
         parent[noncore] = nb[noncore]
@@ -463,7 +463,7 @@ def forest_to_labels(forest: ParentForest) -> np.ndarray:
 
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end; deterministic for fixed input,
-    parameters, and any worker count."""
+    parameters, and any ``workers``, which threads only the k-NN density query."""
     params.validate()
     n = cloud.n
     if n == 0:
@@ -472,12 +472,12 @@ def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     if algo == "rain":
         return forest_to_labels(rain_parents(cloud, params.d))
     if algo == "zqs":
-        return forest_to_labels(zqs_parents(cloud, params.d, workers=workers))
+        return forest_to_labels(zqs_parents(cloud, params.d))
     if n < 2:
         raise DataError(f"algorithm {algo!r} needs at least 2 points, got {n}")
     if algo == "gdqs":
         density = knn_density_2d(cloud, params.k, workers=workers)
-        return forest_to_labels(gdqs_parents(cloud, params.d, density, workers=workers))
+        return forest_to_labels(gdqs_parents(cloud, params.d, density))
     density = knn_density_2d(cloud, params.k, workers=workers, keep_windows=True)
-    cores = extract_cores(cloud, density, params.k, params.beta, workers=workers)
-    return gdqspp_assign(cloud, density, cores, workers=workers)
+    cores = extract_cores(cloud, density, params.k, params.beta)
+    return gdqspp_assign(cloud, density, cores)

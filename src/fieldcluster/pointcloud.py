@@ -12,6 +12,7 @@ ground / unlabeled points and is the only label that maps to black.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,14 +145,14 @@ _SCALAR_TYPES = {
 
 
 def _parse_header(raw: bytes, path: Path):
-    end = raw.find(b"end_header")
-    if not raw.startswith(b"ply") or end < 0:
+    # the header ends at the first line that is exactly end_header
+    end = re.search(rb"^end_header[ \t\r]*$", raw, re.MULTILINE)
+    if not raw.startswith(b"ply") or end is None:
         raise PlyError(f"{path}: not a PLY file (missing 'ply'/'end_header')")
-    nl = raw.find(b"\n", end)
-    if nl < 0:
+    if end.end() == len(raw):
         raise PlyError(f"{path}: header not terminated by newline")
-    header = raw[:nl].decode("ascii", errors="replace").splitlines()
-    body = raw[nl + 1:]
+    header = raw[:end.start()].decode("ascii", errors="replace").splitlines()
+    body = raw[end.end() + 1:]
 
     fmt = None
     elements: list[dict] = []
@@ -177,8 +178,6 @@ def _parse_header(raw: bytes, path: Path):
                 elements[-1]["props"].append((parts[1], parts[2]))
             else:
                 raise PlyError(f"{path}: malformed property line: {stripped!r}")
-        elif parts[0] == "end_header":
-            break
         else:
             raise PlyError(f"{path}: unrecognized header line: {stripped!r}")
     if fmt is None:

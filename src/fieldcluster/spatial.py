@@ -21,9 +21,9 @@ rank order, so its cost does not grow with the number of points in a ball,
 and it runs tile by tile over the ground plane, each tile with the points
 near it, so its cost grows linearly with the cloud.
 
-The index is read-only after construction; queries may run from any number
-of threads (``workers`` forwards to scipy's parallel query dispatch and has
-no effect on results).
+The index is read-only after construction. Only ``knn_window``, one large
+query, takes a thread count (``workers``, forwarded to scipy's parallel query
+dispatch, with no effect on results); every other query runs on one thread.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class SpatialIndex:
 
     # ---------------------------------------------------------------- helpers
 
-    def _windows(self, members: np.ndarray, kk: int, workers: int,
+    def _windows(self, members: np.ndarray, kk: int, workers: int = 1,
                  cached: np.ndarray | None = None):
         """Yield (sub, idx, d2) chunks covering ``members``: idx[r] holds the
         kk nearest points of sub[r] (itself included) and d2[r] their exact
@@ -148,7 +148,7 @@ class SpatialIndex:
             idx = np.atleast_2d(idx).astype(np.int64, copy=False)
             yield sub, idx, _sq_dist(self.points[idx], self.points[sub][:, None, :])
 
-    def _expand(self, members: np.ndarray, kk: int, workers: int, resolve,
+    def _expand(self, members: np.ndarray, kk: int, resolve,
                 cached: np.ndarray | None = None) -> None:
         """Grow the windows of unresolved members 4x per round, starting at kk;
         ``cached`` windows (kk wide), when given, serve the first round.
@@ -161,7 +161,7 @@ class SpatialIndex:
         while active.size:
             kk = min(kk, self.n)
             done = [resolve(sub, idx, d2, kk >= self.n)
-                    for sub, idx, d2 in self._windows(active, kk, workers, cached)]
+                    for sub, idx, d2 in self._windows(active, kk, cached=cached)]
             active = active[~np.concatenate(done)]
             kk *= 4
             cached = None
@@ -213,7 +213,7 @@ class SpatialIndex:
             pieces.append((sub[done], nbr.astype(np.int32), d2[keep] <= rho[nbr]))
             return done
 
-        self._expand(np.arange(n, dtype=np.int64), knn_idx.shape[1], 1, resolve, cached=knn_idx)
+        self._expand(np.arange(n, dtype=np.int64), knn_idx.shape[1], resolve, cached=knn_idx)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         flat = np.empty(offsets[-1], dtype=np.int32)
@@ -293,8 +293,8 @@ class SpatialIndex:
             pieces.append((core[split[half:]], region[near >= cut - margin], right_lo, hi))
             pieces.append((core[split[:half]], region[near <= cut + margin], lo, left_hi))
 
-    def nearest_below_rank(self, rank: np.ndarray, d: float | None = None,
-                           workers: int = 1, subset: np.ndarray | None = None) -> np.ndarray:
+    def nearest_below_rank(self, rank: np.ndarray, d: float | None = None, *,
+                           subset: np.ndarray | None = None) -> np.ndarray:
         """For each member i: the j minimizing (distance, index) among points of
         strictly smaller rank, within the open d-ball when d is given and
         anywhere otherwise; -1 when no such point exists. With ``subset``,
@@ -323,5 +323,5 @@ class SpatialIndex:
 
         members = np.arange(n, dtype=np.int64) if subset is None else \
             np.asarray(subset, dtype=np.int64)
-        self._expand(members, 4, workers, resolve)
+        self._expand(members, 4, resolve)
         return out

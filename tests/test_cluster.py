@@ -329,6 +329,19 @@ class TestClusterDispatch:
             b = cluster(cloud, params, workers=2)
             assert np.array_equal(a, b)
 
+    def test_prebuilt_index_and_subset_are_keyword_only(self):
+        # a thread count passed positionally must not pass for an index or subset
+        cloud = PointCloud(make_cloud(27, 50))
+        dens = knn_density_2d(cloud, 4)
+        cores = extract_cores(cloud, dens, 4, 0.3)
+        for call in (lambda: rain_parents(cloud, 0.3, 2), lambda: zqs_parents(cloud, 0.3, 2),
+                     lambda: gdqs_parents(cloud, 0.3, dens, 2),
+                     lambda: extract_cores(cloud, dens, 4, 0.3, 2),
+                     lambda: gdqspp_assign(cloud, dens, cores, 2),
+                     lambda: dens.index2d.nearest_below_rank(dens.parent_rank, 0.3, 2)):
+            with pytest.raises(TypeError):
+                call()
+
 
 class TestRigidMotionInvariance:
     @pytest.mark.parametrize("params", [

@@ -159,6 +159,18 @@ class TestPlyLoader:
         with pytest.raises(PlyError, match="truncated"):
             load_ply(path)
 
+    def test_end_header_in_comment(self, tmp_path):
+        # only a line that is exactly end_header (trailing blanks or \r allowed) ends the header
+        pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        for fmt, body in (("ascii", b"1 2 3\n4 5 6\n"),
+                          ("binary_little_endian", pts.astype("<f8").tobytes())):
+            path = tmp_path / f"{fmt}.ply"
+            header = (f"ply\r\nformat {fmt} 1.0\r\ncomment see end_header below\r\n"
+                      "element vertex 2\r\nproperty double x\r\nproperty double y\r\n"
+                      "property double z\r\nend_header \r\n")
+            path.write_bytes(header.encode() + body)
+            assert np.array_equal(load_ply(path).points, pts)
+
     def test_malformed_header_names_line(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text(

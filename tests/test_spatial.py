@@ -289,6 +289,23 @@ class TestBulkQueries:
                 assert idx.argmin_rank_in_ball(rank, d).tolist() == \
                     brute_argmin_rank_in_ball(D2, rank, d)
 
+    def test_argmin_rank_in_ball_coarse_coordinates(self, monkeypatch):
+        # at 2^40 the coordinates round to 2^-12, too coarse for a margin of
+        # 0.0625 * d to clear rounding: one tile holds every point
+        monkeypatch.setattr(spatial, "_TILE_POINTS", 40)
+        monkeypatch.setattr(spatial, "_TILE_MIN_SIDE", 1)
+        pts = make_cloud(22, 800) + [2.0 ** 40, 2.0 ** 40, 0.0]
+        idx = SpatialIndex(pts)
+        rank = np.random.default_rng(22).permutation(len(pts))
+        order = np.argsort(rank)
+        D2 = sq_dist_matrix(pts)
+        for d in (0.1, 0.25):
+            (core, region), = idx._tiles(order, d)
+            assert np.array_equal(core, np.arange(len(pts)))
+            assert np.array_equal(region, order)
+            assert idx.argmin_rank_in_ball(rank, d).tolist() == \
+                brute_argmin_rank_in_ball(D2, rank, d)
+
     def test_nearest_below_rank_matches_brute(self):
         pts = make_cloud(12, 300)
         idx = SpatialIndex(pts)
