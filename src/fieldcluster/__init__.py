@@ -12,6 +12,7 @@ from .cluster import (
     Params,
     ParentForest,
     cluster,
+    cluster_over_d,
     extract_cores,
     forest_to_labels,
     gdqs_parents,
@@ -41,7 +42,7 @@ from .synth import FieldSpec, generate_field, generate_plant, parse_field_spec
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoreSet", "DensityField", "Params", "ParentForest", "cluster",
+    "CoreSet", "DensityField", "Params", "ParentForest", "cluster", "cluster_over_d",
     "extract_cores", "forest_to_labels", "gdqs_parents", "gdqspp_assign",
     "knn_density_2d", "rain_parents", "zqs_parents",
     "ContractError", "DataError", "FieldClusterError", "ParameterError", "PlyError",

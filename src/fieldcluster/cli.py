@@ -12,13 +12,14 @@ import math
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from .cluster import Params, cluster
+from .cluster import Params, cluster, cluster_over_d
 from .errors import DataError, FieldClusterError, ParameterError
 from .evaluation import count_report, match_clusters
 from .pointcloud import load_ply, save_ply
@@ -110,20 +111,24 @@ def _require_labels(path: str, color_mode: str) -> tuple:
 
 
 def _parse_sweep(text: str) -> list[float]:
+    """The d values start, start + step, ... up to stop, summed exactly from
+    their decimal strings and rounded to float once, so 0.05:0.15:0.05 ends at
+    0.15 and not at 0.15000000000000002."""
+    parts = text.split(":")
     try:
-        start, stop, step = (float(x) for x in text.split(":"))
+        start, stop, step = (float(x) for x in parts)
     except ValueError:
         raise click.UsageError(f"--sweep-d expects start:stop:step, got {text!r}") from None
     if not all(map(math.isfinite, (start, stop, step))):
         raise click.UsageError(f"--sweep-d bounds and step must be finite: {text!r}")
+    start, stop, step = (Fraction(x) for x in parts)
     if step <= 0 or stop < start:
         raise click.UsageError(f"--sweep-d range is empty: {text!r}")
-    span = (stop - start) / step + 1e-9
-    if span >= _MAX_SWEEP_VALUES:
-        count = math.floor(span) + 1 if math.isfinite(span) else span
+    count = (stop - start) // step + 1
+    if count > _MAX_SWEEP_VALUES:
         raise click.UsageError(f"--sweep-d {text!r} gives {count} values; "
                                f"at most {_MAX_SWEEP_VALUES} are allowed")
-    return [start + i * step for i in range(int(span) + 1)]
+    return [float(start + i * step) for i in range(count)]
 
 
 @main.command("eval")
@@ -136,8 +141,8 @@ def _parse_sweep(text: str) -> list[float]:
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @click.option("--sweep-d", default=None,
               help="start:stop:step: treat PRED_PLY as an unlabeled input, cluster it "
-                   "once per d, and report the best run with a cluster count within "
-                   "20% of the truth count")
+                   "at each d (building its density or index once), and report the best "
+                   "run with a cluster count within 20% of the truth count")
 @click.option("--algo", type=click.Choice(["rain", "zqs", "gdqs"]), default=None,
               help="algorithm for --sweep-d runs")
 @click.option("--k", type=int, default=None, help="density kernel size for --sweep-d runs")
@@ -154,7 +159,7 @@ def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
             raise click.UsageError("--sweep-d requires --algo")
         values = _parse_sweep(sweep_d)
         # every d of the sweep is positive iff the first is
-        _build_params(algo, values[0], k, None)
+        k = _build_params(algo, values[0], k, None).k
     try:
         if sweep_d is None:
             pred = _require_labels(pred_ply, "palette")
@@ -187,9 +192,7 @@ def _run_sweep(input_ply, truth_ply, truth_mode, ignore_ground, values,
     truth_count = int(np.unique(truth.labels[truth.labels != 0]).size
                       if ignore_ground else np.unique(truth.labels).size)
     runs = []
-    for d in values:
-        params = _build_params(algo, d, k, None)
-        labels = cluster(input_cloud, params, workers=threads)
+    for d, labels in zip(values, cluster_over_d(input_cloud, algo, values, k, threads)):
         match = match_clusters(labels, truth.labels, ignore_truth_label_zero=ignore_ground)
         n_clusters = int(labels.max()) if labels.size else 0
         runs.append({

@@ -28,6 +28,7 @@ Ordering conventions (used consistently everywhere):
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ from .spatial import SpatialIndex
 __all__ = [
     "DensityField", "ParentForest", "CoreSet", "Params",
     "rain_parents", "zqs_parents", "knn_density_2d", "gdqs_parents",
-    "extract_cores", "gdqspp_assign", "forest_to_labels", "cluster",
+    "extract_cores", "gdqspp_assign", "forest_to_labels", "cluster", "cluster_over_d",
 ]
 
 
@@ -461,23 +462,51 @@ def forest_to_labels(forest: ParentForest) -> np.ndarray:
     return _renumber_first_appearance(_resolve_to_fixpoint(forest.parent))
 
 
+def _need_two_points(algo: str, n: int) -> None:
+    if n < 2:
+        raise DataError(f"algorithm {algo!r} needs at least 2 points, got {n}")
+
+
+def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
+                   k: int | None = None, workers: int = 1) -> Iterator[np.ndarray]:
+    """Yield the labels of ``rain``, ``zqs`` or ``gdqs`` for each d of ``ds`` in
+    order, each equal to ``cluster(cloud, Params(algorithm, d=d, k=k), workers)``.
+
+    What does not depend on d is built once, at the first d: the 3D index of
+    ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``. Each d is
+    validated before its labels are computed, so errors surface at the same d
+    as with one ``cluster`` call per d.
+    """
+    n = cloud.n
+    shared = None
+    for d in ds:
+        Params(algorithm, d=d, k=k).validate()
+        if n == 0:
+            yield np.empty(0, dtype=np.int64)
+        elif algorithm == "gdqs":
+            if shared is None:
+                _need_two_points(algorithm, n)
+                shared = knn_density_2d(cloud, k, workers=workers)
+            yield forest_to_labels(gdqs_parents(cloud, d, shared))
+        else:
+            if shared is None:
+                shared = SpatialIndex(cloud.points)
+            parents = rain_parents if algorithm == "rain" else zqs_parents
+            yield forest_to_labels(parents(cloud, d, index=shared))
+
+
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
-    """Run the selected algorithm end to end; deterministic for fixed input,
-    parameters, and any ``workers``, which threads only the k-NN density query."""
+    """Run the selected algorithm end to end, building every structure afresh;
+    deterministic for fixed input, parameters, and any ``workers``, which threads
+    only the k-NN density query. ``rain``, ``zqs`` and ``gdqs`` run as a
+    one-value ``cluster_over_d``."""
     params.validate()
+    if params.algorithm != "gdqspp":
+        return next(cluster_over_d(cloud, params.algorithm, [params.d], params.k, workers))
     n = cloud.n
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    algo = params.algorithm
-    if algo == "rain":
-        return forest_to_labels(rain_parents(cloud, params.d))
-    if algo == "zqs":
-        return forest_to_labels(zqs_parents(cloud, params.d))
-    if n < 2:
-        raise DataError(f"algorithm {algo!r} needs at least 2 points, got {n}")
-    if algo == "gdqs":
-        density = knn_density_2d(cloud, params.k, workers=workers)
-        return forest_to_labels(gdqs_parents(cloud, params.d, density))
+    _need_two_points(params.algorithm, n)
     density = knn_density_2d(cloud, params.k, workers=workers, keep_windows=True)
     cores = extract_cores(cloud, density, params.k, params.beta)
     return gdqspp_assign(cloud, density, cores)

@@ -176,6 +176,15 @@ class TestEval:
                        key=lambda r: r["mean_iou"])
             assert doc["selected"]["mean_iou"] == best["mean_iou"]
 
+    def test_sweep_values_are_the_named_decimals(self, small_field, runner):
+        for sweep, want in (("0.05:0.15:0.05", [0.05, 0.1, 0.15]),
+                            ("0.2:0.23:0.01", [0.2, 0.21, 0.22, 0.23]),
+                            ("0.12:0.24:0.06", [0.12, 0.18, 0.24])):
+            result = runner.invoke(main, ["eval", str(small_field), str(small_field),
+                                          "--sweep-d", sweep, "--algo", "zqs"])
+            assert result.exit_code == 0, result.output
+            assert [run["d"] for run in json.loads(result.output)["runs"]] == want
+
     def test_sweep_requires_algo(self, small_field, runner):
         result = runner.invoke(main, ["eval", str(small_field), str(small_field),
                                       "--sweep-d", "0.1:0.2:0.1"])

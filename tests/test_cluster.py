@@ -7,7 +7,9 @@ from fieldcluster import (
     ParameterError,
     Params,
     PointCloud,
+    SpatialIndex,
     cluster,
+    cluster_over_d,
     extract_cores,
     forest_to_labels,
     gdqs_parents,
@@ -341,6 +343,49 @@ class TestClusterDispatch:
                      lambda: dens.index2d.nearest_below_rank(dens.parent_rank, 0.3, 2)):
             with pytest.raises(TypeError):
                 call()
+
+
+class TestClusterOverD:
+    DS = (0.15, 0.3, 0.5)
+
+    @pytest.mark.parametrize("algo,k", [("rain", None), ("zqs", None), ("gdqs", 8)])
+    def test_equals_one_cluster_call_per_d(self, algo, k):
+        cloud = PointCloud(make_cloud(28, 500))
+        swept = list(cluster_over_d(cloud, algo, self.DS, k))
+        cold = [cluster(cloud, Params(algo, d=d, k=k)) for d in self.DS]
+        assert len(swept) == len(cold)
+        for a, b in zip(swept, cold):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("algo,k,method", [("gdqs", 8, "knn_window"),
+                                               ("rain", None, "__init__"),
+                                               ("zqs", None, "__init__")])
+    def test_d_free_structure_built_once(self, monkeypatch, algo, k, method):
+        calls = []
+        original = getattr(SpatialIndex, method)
+
+        def spy(self, *args, **kwargs):
+            calls.append(method)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpatialIndex, method, spy)
+        cloud = PointCloud(make_cloud(29, 300))
+        assert len(list(cluster_over_d(cloud, algo, self.DS, k))) == 3
+        assert len(calls) == 1
+
+    def test_edge_cases_match_cluster(self):
+        empty = PointCloud(np.empty((0, 3)))
+        for algo, k in (("rain", None), ("zqs", None), ("gdqs", 3)):
+            assert [lab.size for lab in cluster_over_d(empty, algo, self.DS, k)] == [0, 0, 0]
+        single = PointCloud(np.zeros((1, 3)))
+        for run in (lambda: cluster(single, Params("gdqs", d=1.0, k=1)),
+                    lambda: list(cluster_over_d(single, "gdqs", self.DS, 1))):
+            with pytest.raises(DataError, match="'gdqs' needs at least 2 points, got 1"):
+                run()
+        for run in (lambda: cluster(LINE4, Params("gdqs", d=1.0, k=4)),
+                    lambda: list(cluster_over_d(LINE4, "gdqs", self.DS, 4))):
+            with pytest.raises(ParameterError, match=r"k must satisfy 1 <= k <= n-1 = 3, got 4"):
+                run()
 
 
 class TestRigidMotionInvariance:
