@@ -16,14 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .cluster import Params, cluster, cluster_over_d
 from .errors import DataError, FieldClusterError, ParameterError
 from .evaluation import count_report, match_clusters
 from .pointcloud import load_ply, save_ply
-from .synth import FieldSpec, generate_field, parse_field_spec
+from .synth import _FIELD_TYPES, FieldSpec, generate_field, parse_field_spec
 
 _DEFAULT_K = 1200
 _DEFAULT_BETA = 0.3
@@ -189,42 +188,37 @@ def _run_sweep(input_ply, truth_ply, truth_mode, ignore_ground, values,
     truth = _require_labels(truth_ply, truth_mode)
     if input_cloud.n != truth.n:
         raise DataError(f"clouds disagree on point count: {input_cloud.n} vs {truth.n}")
-    truth_count = int(np.unique(truth.labels[truth.labels != 0]).size
-                      if ignore_ground else np.unique(truth.labels).size)
     runs = []
     for d, labels in zip(values, cluster_over_d(input_cloud, algo, values, k, threads)):
         match = match_clusters(labels, truth.labels, ignore_truth_label_zero=ignore_ground)
-        n_clusters = int(labels.max()) if labels.size else 0
         runs.append({
             "d": d,
-            "clusters": n_clusters,
+            "clusters": match.num_predicted,
             "mean_iou": match.mean_iou,
             "median_iou": match.median_iou,
-            "within_20pct": abs(n_clusters - truth_count) <= 0.2 * truth_count,
+            "within_20pct": abs(match.num_predicted - match.num_truth) <= 0.2 * match.num_truth,
         })
     eligible = [r for r in runs if r["within_20pct"]]
     selected = max(eligible, key=lambda r: r["mean_iou"]) if eligible else None
+    # values holds at least one d, so the loop has bound match
     return {"schema": 1, "command": "eval-sweep", "algorithm": algo,
-            "truth_clusters": truth_count, "runs": runs, "selected": selected}
+            "truth_clusters": match.num_truth, "runs": runs, "selected": selected}
+
+
+def _field_spec_options(fn):
+    """One flag per FieldSpec field, typed like its default; an absent flag
+    leaves the config file's value, or the default, in place."""
+    for name, type_ in reversed(_FIELD_TYPES.items()):
+        fn = click.option("--" + name.replace("_", "-"), type=type_, default=None,
+                          help=f"[default: {getattr(FieldSpec, name)}]")(fn)
+    return fn
 
 
 @main.command("synth")
 @click.argument("output_ply", type=click.Path(dir_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="flat key-value FieldSpec file")
-@click.option("--rows", type=int, default=None)
-@click.option("--cols", type=int, default=None)
-@click.option("--row-spacing", type=float, default=None)
-@click.option("--plant-spacing", type=float, default=None)
-@click.option("--position-jitter", type=float, default=None)
-@click.option("--points-per-plant", type=int, default=None)
-@click.option("--stem-height", type=float, default=None)
-@click.option("--leaf-count", type=int, default=None)
-@click.option("--leaf-length", type=float, default=None)
-@click.option("--double-plant-prob", type=float, default=None)
-@click.option("--ground-point-density", type=float, default=None)
-@click.option("--noise-sigma", type=float, default=None)
-@click.option("--seed", type=int, default=None)
+@_field_spec_options
 @click.option("--binary/--ascii", "binary", default=False)
 def cmd_synth(output_ply, config_path, binary, **flags):
     """Generate a labeled synthetic field and write it to OUTPUT_PLY."""

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, _renumber_first_appearance
 from .spatial import SpatialIndex
 
 __all__ = [
@@ -53,8 +53,9 @@ class DensityField:
     rho holds the k-th smallest squared distance to another point in the
     ground-plane projection; density values are rho^-1 (+inf on coincident
     projections). ``sweep_rank`` is the strict total order (denser first,
-    index breaks ties); ``parent_rank`` is the value-strict order used for
-    quickshift parenting, where only the infinite class is index-refined.
+    index breaks ties); ``parent_rank`` is the value-strict order key used for
+    quickshift parenting: rho itself, so equal finite densities tie, with the
+    infinite class keyed by index below every finite rho.
     """
 
     rho: np.ndarray
@@ -80,14 +81,7 @@ class DensityField:
         rank[order] = np.arange(n)
         object.__setattr__(self, "sweep_order", order)
         object.__setattr__(self, "sweep_rank", rank)
-        rho_sorted = rho[order]
-        new_group = np.ones(n, dtype=bool)
-        if n > 1:
-            new_group[1:] = rho_sorted[1:] != rho_sorted[:-1]
-        new_group[rho_sorted == 0.0] = True
-        grank = np.empty(n, dtype=np.int64)
-        grank[order] = np.cumsum(new_group) - 1
-        object.__setattr__(self, "parent_rank", grank)
+        object.__setattr__(self, "parent_rank", np.where(rho == 0.0, np.arange(n) - n, rho))
 
     @property
     def n(self) -> int:
@@ -179,16 +173,6 @@ def _height_rank(cloud: PointCloud) -> np.ndarray:
     return rank
 
 
-def _renumber_first_appearance(ids: np.ndarray) -> np.ndarray:
-    """Relabel arbitrary ids to consecutive 1..C in order of first appearance."""
-    if ids.size == 0:
-        return ids.astype(np.int64)
-    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    new_id = np.empty(uniq.shape[0], dtype=np.int64)
-    new_id[np.argsort(first, kind="stable")] = np.arange(1, uniq.shape[0] + 1)
-    return new_id[inverse]
-
-
 def _resolve_to_fixpoint(parent: np.ndarray) -> np.ndarray:
     """Follow parent pointers to their fixpoints by pointer doubling.
 
@@ -199,7 +183,7 @@ def _resolve_to_fixpoint(parent: np.ndarray) -> np.ndarray:
     for _ in range(70):
         nxt = x[x]
         if np.array_equal(nxt, x):
-            if x.size and (parent[x] != x).any():
+            if (parent[x] != x).any():
                 break
             return x
         x = nxt
@@ -219,8 +203,6 @@ def rain_parents(cloud: PointCloud, d: float, *,
     """
     if not d > 0:
         raise ParameterError(f"d must be positive, got {d}")
-    if cloud.n == 0:
-        return ParentForest(np.empty(0, dtype=np.int64))
     if index is None:
         index = SpatialIndex(cloud.points)
     return ParentForest(index.argmin_rank_in_ball(_height_rank(cloud), d))
@@ -233,13 +215,10 @@ def zqs_parents(cloud: PointCloud, d: float, *,
     lower neighbor in range."""
     if not d > 0:
         raise ParameterError(f"d must be positive, got {d}")
-    n = cloud.n
-    if n == 0:
-        return ParentForest(np.empty(0, dtype=np.int64))
     if index is None:
         index = SpatialIndex(cloud.points)
     nb = index.nearest_below_rank(_height_rank(cloud), d=d)
-    return ParentForest(np.where(nb < 0, np.arange(n), nb))
+    return ParentForest(np.where(nb < 0, np.arange(cloud.n), nb))
 
 
 def knn_density_2d(cloud: PointCloud, k: int, workers: int = 1,
@@ -451,15 +430,15 @@ def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
     raw = core_id[target]
     if (raw < 0).any():
         raise ContractError("a climb terminated outside every core")
-    return _renumber_first_appearance(raw)
+    # shifted by one, because the renumbering keeps id 0 as label 0
+    return _renumber_first_appearance(raw + 1)
 
 
 def forest_to_labels(forest: ParentForest) -> np.ndarray:
     """Labels from a parent forest: one cluster per root, renumbered to
     consecutive integers from 1 in order of first appearance by point index."""
-    if forest.n == 0:
-        return np.empty(0, dtype=np.int64)
-    return _renumber_first_appearance(_resolve_to_fixpoint(forest.parent))
+    # shifted by one, because the renumbering keeps id 0 as label 0
+    return _renumber_first_appearance(_resolve_to_fixpoint(forest.parent) + 1)
 
 
 def _need_two_points(algo: str, n: int) -> None:

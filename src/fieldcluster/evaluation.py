@@ -58,22 +58,25 @@ class MatchReport:
         }
 
 
+def _count_table(pred: np.ndarray, truth: np.ndarray, pred_ids: np.ndarray,
+                 truth_ids: np.ndarray) -> np.ndarray:
+    """Dense |pred_ids| x |truth_ids| table of how many points each (predicted,
+    truth) pair shares; points whose truth label is not in truth_ids count
+    nowhere."""
+    keep = np.isin(truth, truth_ids)
+    pi = np.searchsorted(pred_ids, pred[keep])
+    ti = np.searchsorted(truth_ids, truth[keep])
+    shape = (pred_ids.shape[0], truth_ids.shape[0])
+    return np.bincount(pi * shape[1] + ti, minlength=shape[0] * shape[1]).reshape(shape)
+
+
 def _iou_matrix(pred: np.ndarray, truth: np.ndarray, truth_ids: np.ndarray,
                 pred_ids: np.ndarray) -> np.ndarray:
-    """Dense |pred_ids| x |truth_ids| IoU matrix from two labelings."""
-    pi = np.searchsorted(pred_ids, pred)
-    keep = np.isin(truth, truth_ids)
-    ti = np.searchsorted(truth_ids, truth[keep])
-    t_count = truth_ids.shape[0]
-    inter = np.bincount(pi[keep] * t_count + ti,
-                        minlength=pred_ids.shape[0] * t_count
-                        ).reshape(pred_ids.shape[0], t_count).astype(np.float64)
-    pred_sizes = np.bincount(pi, minlength=pred_ids.shape[0]).astype(np.float64)
-    truth_sizes = np.bincount(ti, minlength=t_count).astype(np.float64)
-    union = pred_sizes[:, None] + truth_sizes[None, :] - inter
-    with np.errstate(invalid="ignore"):
-        mat = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
-    return mat
+    """Dense |pred_ids| x |truth_ids| IoU matrix from two labelings whose
+    predicted ids all occur in pred, so that no union is empty."""
+    inter = _count_table(pred, truth, pred_ids, truth_ids)
+    pred_sizes = np.bincount(np.searchsorted(pred_ids, pred), minlength=pred_ids.shape[0])
+    return inter / (pred_sizes[:, None] + inter.sum(axis=0) - inter)
 
 
 def match_clusters(pred: np.ndarray, truth: np.ndarray,
@@ -93,9 +96,6 @@ def match_clusters(pred: np.ndarray, truth: np.ndarray,
     truth_ids = np.unique(truth)
     if ignore_truth_label_zero:
         truth_ids = truth_ids[truth_ids != 0]
-    if pred_ids.size == 0 or truth_ids.size == 0:
-        return MatchReport(pred_ids.size, truth_ids.size, (), 0.0, 0.0,
-                           tuple(pred_ids.tolist()), tuple(truth_ids.tolist()))
     mat = _iou_matrix(pred, truth, truth_ids, pred_ids)
     rows, cols = linear_sum_assignment(mat, maximize=True)
     pairs = sorted(
@@ -145,18 +145,11 @@ def count_report(pred: np.ndarray, truth: np.ndarray) -> CountReport:
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ContractError(
             f"labelings must be 1-D and equally long, got {pred.shape} vs {truth.shape}")
-    if pred.size == 0:
-        return CountReport(0, 0, 0, 0)
     pred_ids = np.unique(pred)
-    plant_mask = truth != 0
-    # distinct (pred, truth!=0) pairs -> plants touched per predicted cluster
-    pair_codes = np.unique(pred[plant_mask].astype(np.int64) * (truth.max() + 1)
-                           + truth[plant_mask])
-    touched = np.bincount(
-        np.searchsorted(pred_ids, pair_codes // (truth.max() + 1)),
-        minlength=pred_ids.size)
+    truth_ids = np.unique(truth[truth != 0])
+    touched = np.count_nonzero(_count_table(pred, truth, pred_ids, truth_ids), axis=1)
     return CountReport(
-        total_truth_plants=int(np.unique(truth[plant_mask]).size),
+        total_truth_plants=int(truth_ids.size),
         total_predicted_clusters=int(pred_ids.size),
         multi_plant_clusters=int((touched >= 2).sum()),
         extraneous_clusters=int((touched == 0).sum()),

@@ -62,6 +62,17 @@ def colors_for_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _renumber_first_appearance(ids: np.ndarray) -> np.ndarray:
+    """Relabel non-negative ids: 0 stays 0, and the other ids become 1..C in
+    order of first appearance by point index."""
+    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    order = order[uniq[order] != 0]
+    new_id = np.zeros(uniq.shape[0], dtype=np.int64)
+    new_id[order] = np.arange(1, order.shape[0] + 1)
+    return new_id[inverse]
+
+
 def labels_for_colors(rgb: np.ndarray, mode: str = "palette") -> np.ndarray:
     """Vectorized inverse palette: (n, 3) uint8 colors -> (n,) int64 labels.
 
@@ -76,17 +87,7 @@ def labels_for_colors(rgb: np.ndarray, mode: str = "palette") -> np.ndarray:
         labels = (codes * np.uint64(_PALETTE_INVERSE)) & np.uint64(_LABEL_SPACE - 1)
         return labels.astype(np.int64)
     if mode == "distinct":
-        uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        ids = np.empty(uniq.shape[0], dtype=np.int64)
-        next_id = 1
-        for pos in order:
-            if uniq[pos] == 0:
-                ids[pos] = 0
-            else:
-                ids[pos] = next_id
-                next_id += 1
-        return ids[inverse]
+        return _renumber_first_appearance(codes)
     raise ParameterError(f"unknown color mode {mode!r} (expected 'palette' or 'distinct')")
 
 
@@ -263,7 +264,7 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
     if "label" in columns and _SCALAR_TYPES[type_of["label"]][0] in "iu":
         labels = np.asarray(columns["label"], dtype=np.int64)
         if labels.size and labels.min() < 0:
-            raise DataError(f"{path}: negative label at point index {int(labels.argmin())}")
+            raise DataError(f"{path}: negative label at point index {int(np.flatnonzero(labels < 0)[0])}")
     elif all(c in columns for c in ("red", "green", "blue")):
         rgb = np.column_stack([
             np.asarray(columns["red"]).astype(np.uint8),

@@ -160,7 +160,8 @@ def generate_field(spec: FieldSpec) -> PointCloud:
     return PointCloud(np.concatenate(chunks, axis=0), np.concatenate(labels))
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(FieldSpec)}
+# every field is typed like its default; the synth flags share this table
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(FieldSpec)}
 
 
 def parse_field_spec(text: str) -> FieldSpec:
@@ -181,7 +182,7 @@ def parse_field_spec(text: str) -> FieldSpec:
         val = val.strip()
         if key not in _FIELD_TYPES:
             raise ParameterError(f"unknown config key {key!r} on line {lineno}")
-        caster = int if _FIELD_TYPES[key] in ("int", int) else float
+        caster = _FIELD_TYPES[key]
         try:
             values[key] = caster(val)
         except ValueError:

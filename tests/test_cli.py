@@ -1,11 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import fieldcluster
-from fieldcluster import PointCloud, load_ply, save_ply
+from fieldcluster import FieldSpec, PointCloud, load_ply, save_ply
 from fieldcluster.cli import main
 
 
@@ -51,6 +52,12 @@ class TestSynth:
         result = runner.invoke(main, ["synth", str(tmp_path / "f.ply"), "--config", str(cfg)])
         assert result.exit_code == 0
         assert "plants: 4" in result.output
+
+    def test_help_lists_one_typed_flag_per_field(self, runner):
+        help_text = runner.invoke(main, ["synth", "--help"]).output
+        metavar = {"int": "INTEGER", "float": "FLOAT"}
+        for f in fields(FieldSpec):
+            assert f"--{f.name.replace('_', '-')} {metavar[f.type]}" in help_text
 
     def test_flag_overrides_config(self, tmp_path, runner):
         cfg = tmp_path / "field.cfg"

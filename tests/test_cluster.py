@@ -3,18 +3,22 @@ import pytest
 
 from fieldcluster import (
     ContractError,
+    CountReport,
     DataError,
+    MatchReport,
     ParameterError,
     Params,
     PointCloud,
     SpatialIndex,
     cluster,
     cluster_over_d,
+    count_report,
     extract_cores,
     forest_to_labels,
     gdqs_parents,
     gdqspp_assign,
     knn_density_2d,
+    match_clusters,
     rain_parents,
     zqs_parents,
 )
@@ -121,6 +125,15 @@ class TestKnnDensity:
         for k in (float("inf"), float("nan")):
             with pytest.raises(ParameterError):
                 Params("gdqspp", k=k, beta=0.3).validate()
+
+    def test_parent_rank_ties_finite_and_orders_coincident_by_index(self):
+        dens = knn_density_2d(LINE4, 2)
+        field = DensityField(rho=[0.5, 0.0, 0.2, 0.5, 0.0], k=2, index2d=dens.index2d)
+        # the order of the ranks 3, 0, 2, 3, 1: equal finite rho tie, and
+        # coincident points 1 and 4 come first, by index
+        want = np.array([3, 0, 2, 3, 1])
+        rank = field.parent_rank
+        assert np.array_equal(rank[:, None] < rank[None, :], want[:, None] < want[None, :])
 
     def test_caller_arrays_stay_writable(self):
         dens = knn_density_2d(LINE4, 2)
@@ -281,6 +294,20 @@ class TestForestToLabels:
         assert forest.parent.tolist() == [0, 0, 1]
         with pytest.raises(ValueError):
             forest.parent[0] = 1
+
+
+def test_empty_input_gives_empty_results():
+    empty = PointCloud(np.empty((0, 3)))
+    none = np.empty(0, dtype=np.int64)
+    assert rain_parents(empty, 0.1).parent.shape == (0,)
+    assert zqs_parents(empty, 0.1).parent.shape == (0,)
+    labels = forest_to_labels(ParentForest(none))
+    assert labels.shape == (0,) and labels.dtype == np.int64
+    assert match_clusters(none, none) == MatchReport(0, 0, (), 0.0, 0.0, (), ())
+    assert count_report(none, none) == CountReport(0, 0, 0, 0)
+    # predictions against a truth that is all ground match nothing
+    assert match_clusters([3, 5], [0, 0]) == MatchReport(2, 0, (), 0.0, 0.0, (3, 5), ())
+    assert count_report([3, 5], [0, 0]) == CountReport(0, 2, 0, 2)
 
 
 class TestClusterDispatch:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from fieldcluster import ContractError, count_report, iou, match_clusters
+from fieldcluster import ContractError, CountReport, count_report, iou, match_clusters
 from oracles import brute_best_matching_sum
 
 
@@ -150,6 +150,13 @@ class TestCountReport:
         assert report.total_truth_plants == 136
         assert report.total_predicted_clusters == 144
         assert report.multi_plant_clusters == 4
+
+    def test_labels_beyond_int32(self):
+        # a pair code pred * (truth.max() + 1) + truth overflows int64 here
+        big = 4_000_000_000
+        pred = np.array([big, big, big + 7, big + 7])
+        truth = np.array([big, big + 1, big + 1, big + 1])
+        assert count_report(pred, truth) == CountReport(2, 2, 1, 0)
 
     def test_empty(self):
         report = count_report(np.empty(0, int), np.empty(0, int))

@@ -47,6 +47,10 @@ class TestPalette:
         with pytest.raises(ParameterError, match="label -1 outside"):
             colors_for_labels(np.array([3, -1]))
 
+    def test_unknown_color_mode(self):
+        with pytest.raises(ParameterError, match="unknown color mode 'hsv'"):
+            labels_for_colors(np.zeros((2, 3), dtype=np.uint8), mode="hsv")
+
     def test_vectorized_matches_scalar(self, rng):
         labels = rng.integers(0, 2**24, size=500)
         colors = colors_for_labels(labels)
@@ -69,6 +73,10 @@ class TestPointCloud:
     def test_negative_label_rejected(self):
         with pytest.raises(DataError):
             PointCloud(np.zeros((2, 3)), labels=[1, -1])
+
+    def test_points_must_be_n_by_3(self):
+        with pytest.raises(DataError, match=r"shape \(n, 3\), got \(4, 2\)"):
+            PointCloud(np.zeros((4, 2)))
 
     def test_arrays_read_only(self):
         cloud = PointCloud(np.zeros((2, 3)), labels=[1, 2])
@@ -118,6 +126,10 @@ class TestPlyRoundTrip:
         save_ply(cloud, labels, p2, binary=binary)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_labeling_length_mismatch(self, tmp_path):
+        with pytest.raises(DataError, match="labeling length"):
+            save_ply(PointCloud(np.zeros((3, 3))), np.array([1, 2]), tmp_path / "x.ply")
+
     def test_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.ply"
         save_ply(PointCloud(np.empty((0, 3))), np.empty(0, dtype=int), path)
@@ -132,7 +144,56 @@ class TestPlyRoundTrip:
         assert tuple(int(v) for v in body[3:6]) == label_to_color(7)
 
 
+XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
 class TestPlyLoader:
+    @pytest.mark.parametrize("header, message", [
+        ("ply\nformat ascii 1.0\nelement vertex 0\n" + XYZ + "end_header",
+         "not terminated by newline"),
+        ("ply\nformat binary_big_endian 1.0\nelement vertex 0\n" + XYZ + "end_header\n",
+         "unsupported format line"),
+        ("ply\nformat ascii 1.0\n" + XYZ + "element vertex 0\nend_header\n",
+         "property before any element"),
+        ("ply\nformat ascii 1.0\nelement vertex 0\n" + XYZ + "property quad w\nend_header\n",
+         "malformed property line"),
+        ("ply\nformat ascii 1.0\nelement vertex 0\n" + XYZ + "units metres\nend_header\n",
+         "unrecognized header line"),
+        ("ply\nelement vertex 0\n" + XYZ + "end_header\n",
+         "no format line"),
+        ("ply\nformat ascii 1.0\nelement vertex 0\n"
+         "property float x\nproperty float y\nend_header\n",
+         "lacks property 'z'"),
+        ("ply\nformat ascii 1.0\nelement face 0\n"
+         "property list uchar int vertex_indices\nend_header\n",
+         "no vertex element"),
+    ])
+    def test_header_errors(self, tmp_path, header, message):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(header.encode())
+        with pytest.raises(PlyError, match=message):
+            load_ply(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0 0 0\n0 0\n", "vertex row 1 has 2 fields, expected 3"),
+        ("0 0 0\n0 x 0\n", "vertex row 1 is not numeric"),
+        ("0 0 0\n0 0 0 5\n", "malformed ascii vertex data"),
+    ])
+    def test_bad_ascii_rows(self, tmp_path, body, message):
+        path = tmp_path / "rows.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 2\n" + XYZ
+                        + "end_header\n" + body)
+        with pytest.raises(PlyError, match=message):
+            load_ply(path)
+
+    def test_negative_label_names_first_bad_point(self, tmp_path):
+        path = tmp_path / "neg.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 3\n" + XYZ
+                        + "property int label\nend_header\n"
+                        "0 0 0 3\n1 0 0 -1\n2 0 0 -5\n")
+        with pytest.raises(DataError, match=r"negative label at point index 1$"):
+            load_ply(path)
+
     def test_minimal_ascii(self, tmp_path):
         path = tmp_path / "min.ply"
         path.write_text(
@@ -249,6 +310,28 @@ class TestPlyLoader:
         path.write_bytes(header.encode() + rec.tobytes())
         cloud = load_ply(path)
         assert np.array_equal(cloud.points[:, 0], [0.5, 1.5, 2.5])
+
+    def test_leading_element_skipped_binary(self, tmp_path):
+        camera = np.zeros(2, dtype=np.dtype([("fx", "<f4"), ("id", "u1")]))
+        camera["fx"] = [7.5, 8.5]
+        pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        path = tmp_path / "lead.ply"
+        header = ("ply\nformat binary_little_endian 1.0\n"
+                  "element camera 2\nproperty float fx\nproperty uchar id\n"
+                  "element vertex 2\nproperty double x\nproperty double y\n"
+                  "property double z\nend_header\n")
+        path.write_bytes(header.encode() + camera.tobytes() + pts.astype("<f8").tobytes())
+        assert np.array_equal(load_ply(path).points, pts)
+
+    def test_leading_list_element_rejected_binary(self, tmp_path):
+        path = tmp_path / "lead.ply"
+        header = ("ply\nformat binary_little_endian 1.0\n"
+                  "element face 1\nproperty list uchar int vertex_indices\n"
+                  "element vertex 1\nproperty double x\nproperty double y\n"
+                  "property double z\nend_header\n")
+        path.write_bytes(header.encode() + b"\x00" * 40)
+        with pytest.raises(PlyError, match="cannot skip element 'face' with list property"):
+            load_ply(path)
 
     def test_leading_element_skipped_ascii(self, tmp_path):
         path = tmp_path / "lead.ply"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,18 @@ class TestGenerateField:
         assert report.mean_iou == 1.0
         assert labels.max() == 4
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"plant_spacing": 0.0}, "row_spacing and plant_spacing must be positive"),
+        ({"noise_sigma": -0.1}, "position_jitter and noise_sigma must be non-negative"),
+        ({"stem_height": 0.0}, "stem_height must be positive"),
+        ({"leaf_count": -1}, "leaf_count must be non-negative"),
+        ({"leaf_length": 0.0}, "leaf_length must be positive"),
+        ({"ground_point_density": -1.0}, "ground_point_density must be non-negative"),
+    ])
+    def test_validate_names_the_bad_field(self, bad, message):
+        with pytest.raises(ParameterError, match=message):
+            FieldSpec(**bad).validate()
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ParameterError):
             generate_field(FieldSpec(rows=0))
@@ -101,6 +115,11 @@ class TestGenerateField:
 
 
 class TestParseFieldSpec:
+    def test_defaults_are_typed_like_their_fields(self):
+        # parse_field_spec and the synth flags cast each value like its default
+        assert {f.name: type(f.default).__name__ for f in fields(FieldSpec)} == \
+            {f.name: f.type for f in fields(FieldSpec)}
+
     def test_round_trip_keys(self):
         text = """
         # a config
