@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError
 
@@ -87,6 +86,10 @@ def match_clusters(pred: np.ndarray, truth: np.ndarray,
     zero carry no correspondence and are reported as unmatched. Mean and
     median are taken over matched pairs only.
     """
+    # imported here: only matching needs scipy.optimize, and importing it
+    # with the package would slow every CLI start-up
+    from scipy.optimize import linear_sum_assignment
+
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape or pred.ndim != 1:

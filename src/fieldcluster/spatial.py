@@ -11,15 +11,23 @@ rely on:
 
 Per-point k-NN windows (the kk nearest points, self included, with their
 exact squared distances) come from one chunked query loop, the only place the
-index's own tree is queried. The nearest-below-rank search and the radius
-lists grow the windows 4x per round instead of materializing neighbor balls,
-resolving each point as soon as its window provably contains the answer;
-windows come back from scipy as arrays, which keeps the inner loops
-vectorized. The lowest-rank-in-ball search does not use the windows: it
-descends a hierarchy of kD-trees built per call over blocks of the points in
-rank order, so its cost does not grow with the number of points in a ball,
-and it runs tile by tile over the ground plane, each tile with the points
-near it, so its cost grows linearly with the cloud.
+index's own tree is queried for more than three neighbors. The squared
+distances are summed from per-axis coordinate columns kept on the index, so
+no (points, kk, dim) coordinate array is gathered. The nearest-below-rank
+search and the radius lists grow the windows 4x per round instead of
+materializing neighbor balls, resolving each point as soon as its window
+provably contains the answer; windows come back from scipy as arrays, which
+keeps the inner loops vectorized.
+
+The k-NN radius alone (``knn_window`` without indices) skips the windows for
+most points: the tree returns the three neighbors around the k-th, one exact
+squared distance is computed per point, and only points whose tree distances
+do not set the k-th neighbor apart go through the windows. The
+lowest-rank-in-ball search does not use the windows either: it descends a
+hierarchy of kD-trees built per call over blocks of the points in rank order,
+so its cost does not grow with the number of points in a ball, and it runs
+tile by tile over the ground plane, each tile with the points near it, so its
+cost grows linearly with the cloud.
 
 The index is read-only after construction. Only ``knn_window``, one large
 query, takes a thread count (``workers``, forwarded to scipy's parallel query
@@ -33,8 +41,11 @@ from scipy.spatial import cKDTree
 
 from .errors import DataError, ParameterError
 
-# soft bound on elements touched per vectorized query round
-_CHUNK_ELEMS = 4_000_000
+# soft bound on elements touched per vectorized query round; its 8-byte
+# temporaries (35 MB) lie clearly above glibc's 32 MiB ceiling on the dynamic
+# mmap threshold, so each is mapped and returned whole instead of coming from
+# a heap whose layout, and so the peak memory, depends on earlier frees
+_CHUNK_ELEMS = 4_400_000
 # argmin_rank_in_ball: rank blocks of this many points are scanned directly,
 # _LEAF_ROWS queries at a time, so the gathered blocks (under 1 MB) are reused
 # from the heap and stay in cache instead of being mapped afresh per tile
@@ -56,6 +67,29 @@ def _sq_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     as the brute-force oracles compute them."""
     diff = p - q
     return np.einsum("...i,...i->...", diff, diff)
+
+
+def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Squared distances from point sub[r] to the points idx[r], from the
+    per-axis coordinate columns ``cols``, bit-identical to ``_sq_dist``.
+
+    The columns are added in the order in which numpy's ``einsum`` sums a
+    length-2 or length-3 last axis: x then y in 2D, (dx^2 + dz^2) + dy^2 in 3D
+    (numpy 2.4). That order copies a numpy internal, which the oracles also
+    rely on through ``einsum``; ``test_spatial.py`` pins the two against each
+    other, so an upgrade that reorders ``einsum`` fails there.
+    """
+    d2 = None
+    for axis in (0, 1) if len(cols) == 2 else (0, 2, 1):
+        col = cols[axis]
+        t = col[idx]
+        t -= col[sub][:, None]
+        t *= t
+        if d2 is None:
+            d2 = t
+        else:
+            d2 += t
+    return d2
 
 
 def _lowest_in_ball(ranked: np.ndarray, q: np.ndarray, own: np.ndarray, d: float) -> np.ndarray:
@@ -128,6 +162,9 @@ class SpatialIndex:
         pts.setflags(write=False)
         self.points = pts
         self.n = pts.shape[0]
+        # per-axis views: gathers from them run as fast as from contiguous
+        # copies, which would add n * dim * 8 bytes at the gdqspp peak
+        self._cols = tuple(pts[:, a] for a in range(pts.shape[1]))
         self._tree = cKDTree(pts) if self.n else None
 
     # ---------------------------------------------------------------- helpers
@@ -146,7 +183,7 @@ class SpatialIndex:
             else:
                 idx = cached[sub]
             idx = np.atleast_2d(idx).astype(np.int64, copy=False)
-            yield sub, idx, _sq_dist(self.points[idx], self.points[sub][:, None, :])
+            yield sub, idx, _sq_dist_cols(self._cols, idx, sub)
 
     def _expand(self, members: np.ndarray, kk: int, resolve,
                 cached: np.ndarray | None = None) -> None:
@@ -176,14 +213,30 @@ class SpatialIndex:
         including self equals the k-th excluding self, so coincident
         duplicates need no special casing); idx is the (n, min(n, k+2))
         neighbor-index window when requested, else None.
+
+        Without the window, the tree is asked only for each point's k-th,
+        (k+1)-th and (k+2)-th nearest (counted from 1, self first). When its
+        distances to the k-th and (k+2)-th differ from the middle one by more
+        than the relative ``_BOUND_SLACK``, far above the tree's rounding,
+        exactly k points lie strictly nearer than the middle one and all others
+        strictly farther, so the middle one's exact squared distance is rho[i].
+        Every other point (distance ties, duplicates, rows the tree rounds
+        differently) takes rho from its full window, as do all points when the
+        window is requested or n < k+2.
         """
         if not 1 <= k <= self.n - 1 or int(k) != k:
             raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {self.n - 1}, got {k}")
         k = int(k)
         kq = min(self.n, k + 2)
         rho = np.empty(self.n, dtype=np.float64)
+        rest = np.arange(self.n, dtype=np.int64)
+        if not return_indices and kq == k + 2:
+            dist, idx = self._tree.query(self.points, k=[k, k + 1, k + 2], workers=workers)
+            sep = (dist[:, 0] * _BOUND_SLACK < dist[:, 1]) & (dist[:, 1] * _BOUND_SLACK < dist[:, 2])
+            rho[sep] = _sq_dist_cols(self._cols, idx[sep, 1:2], rest[sep])[:, 0]
+            rest = rest[~sep]
         all_idx = np.empty((self.n, kq), dtype=np.int32) if return_indices else None
-        for sub, idx, d2 in self._windows(np.arange(self.n, dtype=np.int64), kq, workers):
+        for sub, idx, d2 in self._windows(rest, kq, workers):
             rho[sub] = np.sort(d2, axis=1)[:, k]
             if return_indices:
                 all_idx[sub] = idx
@@ -275,7 +328,7 @@ class SpatialIndex:
         if not 1024 * np.spacing(np.abs(self.points[:, :2]).max()) < margin - d:
             yield everything, order
             return
-        cols = [np.ascontiguousarray(self.points[:, a]) for a in (0, 1)]
+        cols = self._cols[:2]
         pieces = [(everything, order, [c.min() for c in cols], [c.max() for c in cols])]
         while pieces:
             core, region, lo, hi = pieces.pop()

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +288,13 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0, result.output
     assert result.output == f"fieldcluster, version {fieldcluster.__version__}\n"
+
+
+def test_startup_does_not_import_scipy_optimize():
+    # only eval's matching needs it; every other command would pay its import
+    src = str(Path(fieldcluster.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fieldcluster.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out == "False\n"

@@ -168,6 +168,60 @@ class TestKthNeighborDistance:
             rho, _ = idx.knn_window(k)
             assert rho.tolist() == [brute_kth_sq(D2, i, k) for i in range(len(pts))]
 
+    def test_tree_rounding_disagrees_at_kth(self):
+        # points 1 and 2 lie at the same tree distance from point 0, which
+        # returns point 1 second although its exact squared distance is the
+        # larger: its k = 1 radius must come from the full window
+        pts, _ = far_line_cloud([0.661, 0.204, 0.564], [0.661, 0.564, 0.204])
+        idx = SpatialIndex(pts)
+        D2 = sq_dist_matrix(pts)
+        _, tree_order = idx._tree.query(pts[0], k=[1, 2, 3])
+        assert tree_order.tolist() == [0, 1, 2] and D2[0, 1] > D2[0, 2]
+        rho, _ = idx.knn_window(1)
+        assert rho[0] == D2[0, 2]
+        assert np.array_equal(rho, idx.knn_window(1, return_indices=True)[0])
+        assert rho.tolist() == [brute_kth_sq(D2, i, 1) for i in range(len(pts))]
+
+    @pytest.mark.parametrize("cloud", ["lattice", "duplicates", "random2d", "random3d"])
+    def test_radius_alone_matches_windowed_radius(self, cloud):
+        rng = np.random.default_rng(31)
+        pts = {
+            "lattice": lambda: rng.integers(0, 7, size=(300, 2)).astype(np.float64),
+            "duplicates": lambda: make_cloud_with_stems(32, 5, 20, extra=40)[:, :2],
+            "random2d": lambda: make_cloud(33, 300, dims=2),
+            "random3d": lambda: make_cloud(34, 300),
+        }[cloud]()
+        idx = SpatialIndex(pts)
+        D2 = sq_dist_matrix(pts)
+        n = len(pts)
+        for k in (1, 4, 19, 20, 64, n - 2, n - 1):
+            rho, _ = idx.knn_window(k)
+            assert np.array_equal(rho, idx.knn_window(k, return_indices=True)[0])
+            assert rho.tolist() == [brute_kth_sq(D2, i, k) for i in range(n)]
+
+
+class TestColumnSquaredDistance:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_einsum_bit_for_bit(self, dim):
+        # the column sum copies einsum's summation order; a numpy that sums
+        # in another order fails here, not only in the label digests
+        rng = np.random.default_rng(40 + dim)
+        diff = rng.standard_normal((2_000_000, dim))
+        extreme = rng.random(diff.shape) < 0.2
+        diff[extreme] *= 10.0 ** rng.uniform(-170, 170, size=np.count_nonzero(extreme))
+        diff[rng.random(diff.shape) < 0.01] = -0.0
+        pts = np.vstack([diff, np.zeros((1, dim))])
+        cols = tuple(pts[:, a] for a in range(dim))
+        idx = np.arange(len(diff)).reshape(1000, -1)
+        with np.errstate(over="ignore"):
+            got = spatial._sq_dist_cols(cols, idx, np.full(1000, len(diff)))
+            want = np.einsum("...i,...i->...", diff, diff).reshape(1000, -1)
+            naive = (diff * diff).cumsum(axis=1)[:, -1].reshape(1000, -1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if dim == 3:
+            # the data tells summation orders apart
+            assert not np.array_equal(want, naive)
+
 
 class TestNearestSatisfying:
     """Unbounded nearest_below_rank: nearest point satisfying 'ranked lower'."""
