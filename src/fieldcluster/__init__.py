@@ -28,16 +28,10 @@ from .errors import (
     ParameterError,
     PlyError,
 )
-from .evaluation import CountReport, MatchReport, count_report, iou, match_clusters
-from .pointcloud import (
-    PointCloud,
-    color_to_label,
-    label_to_color,
-    load_ply,
-    save_ply,
-)
+from .evaluation import CountReport, MatchReport, count_report, match_clusters
+from .pointcloud import PointCloud, load_ply, save_ply
 from .spatial import SpatialIndex
-from .synth import FieldSpec, generate_field, generate_plant, parse_field_spec
+from .synth import FieldSpec, generate_field, parse_field_spec
 
 __version__ = "0.1.0"
 
@@ -46,9 +40,9 @@ __all__ = [
     "extract_cores", "forest_to_labels", "gdqs_parents", "gdqspp_assign",
     "knn_density_2d", "rain_parents", "zqs_parents",
     "ContractError", "DataError", "FieldClusterError", "ParameterError", "PlyError",
-    "CountReport", "MatchReport", "count_report", "iou", "match_clusters",
-    "PointCloud", "color_to_label", "label_to_color", "load_ply", "save_ply",
+    "CountReport", "MatchReport", "count_report", "match_clusters",
+    "PointCloud", "load_ply", "save_ply",
     "SpatialIndex",
-    "FieldSpec", "generate_field", "generate_plant", "parse_field_spec",
+    "FieldSpec", "generate_field", "parse_field_spec",
     "__version__",
 ]

@@ -291,7 +291,7 @@ def cmd_bench(sizes, algo, d, k, beta, repeats, seed, threads, report_path):
             click.echo(f"{n:>10}  {field.n:>10}  {med:>10.3f}  "
                        + (f"{ratio:>7.2f}" if ratio else f"{'-':>7}"))
             rows_out.append({"requested": n, "points": field.n,
-                             "seconds": med, "ratio": ratio})
+                             "seconds": med, "times": times, "ratio": ratio})
     except FieldClusterError as exc:
         _fail(exc)
     _write_report({"schema": 1, "command": "bench", "algorithm": algo,

@@ -76,9 +76,7 @@ class DensityField:
             values = 1.0 / rho
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        order = np.lexsort((np.arange(n), rho))
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
+        order, rank = _order_and_rank(rho)
         object.__setattr__(self, "sweep_order", order)
         object.__setattr__(self, "sweep_rank", rank)
         object.__setattr__(self, "parent_rank", np.where(rho == 0.0, np.arange(n) - n, rho))
@@ -114,7 +112,6 @@ class CoreSet:
 
     cores: tuple
     mode_indices: np.ndarray
-    mode_densities: np.ndarray
     n: int
 
     def membership(self) -> np.ndarray:
@@ -154,32 +151,57 @@ class Params:
             raise ParameterError(
                 f"algorithm {self.algorithm!r} takes exactly ({', '.join(required)}): "
                 + "; ".join(detail))
-        if self.d is not None and not self.d > 0:
-            raise ParameterError(f"d must be positive, got {self.d}")
+        if self.d is not None:
+            _check_d(self.d)
         if self.k is not None and not (1 <= self.k < np.inf and int(self.k) == self.k):
             raise ParameterError(f"k must be a positive integer, got {self.k}")
-        if self.beta is not None and not 0.0 <= self.beta <= 1.0:
-            raise ParameterError(f"beta must lie in [0, 1], got {self.beta}")
+        if self.beta is not None:
+            _check_beta(self.beta)
 
 
-# --------------------------------------------------------------- rank helpers
+# ------------------------------------------------------------ shared helpers
 
-def _height_rank(cloud: PointCloud) -> np.ndarray:
-    """Permutation rank under (z, index) ascending: rank 0 is the lowest point."""
-    n = cloud.n
-    order = np.lexsort((np.arange(n), cloud.points[:, 2]))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return rank
+def _check_d(d: float) -> None:
+    if not d > 0:
+        raise ParameterError(f"d must be positive, got {d}")
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 1.0:
+        raise ParameterError(f"beta must lie in [0, 1], got {beta}")
+
+
+def _check_sizes(cloud: PointCloud, **parts) -> None:
+    """Raise ContractError unless every structure given (an index, a density
+    or a core set; None is skipped) covers exactly the cloud's points."""
+    for name, part in parts.items():
+        if part is not None and part.n != cloud.n:
+            raise ContractError(f"{name} covers {part.n} points, cloud has {cloud.n}")
+
+
+def _order_and_rank(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation sorting (key, index) ascending, and its inverse: the
+    rank of each point under that strict total order."""
+    order = np.argsort(key, kind="stable")
+    rank = np.empty(order.shape[0], dtype=np.int64)
+    rank[order] = np.arange(order.shape[0])
+    return order, rank
+
+
+def _quickshift_parents(nb: np.ndarray) -> np.ndarray:
+    """Quickshift forest from nearest-higher links: each point links to nb[i],
+    and a point without one (nb[i] == -1) is a root."""
+    return np.where(nb < 0, np.arange(nb.shape[0]), nb)
 
 
 def _resolve_to_fixpoint(parent: np.ndarray) -> np.ndarray:
-    """Follow parent pointers to their fixpoints by pointer doubling.
+    """Follow parent pointers to their fixpoints by pointer doubling, in the
+    parent array's own integer dtype.
 
     A power-of-two cycle squares to the identity and would look converged, so
     the fixpoints are verified to be genuine roots afterwards.
     """
-    x = parent.astype(np.int64, copy=True)
+    x = parent.copy()
     for _ in range(70):
         nxt = x[x]
         if np.array_equal(nxt, x):
@@ -201,11 +223,11 @@ def rain_parents(cloud: PointCloud, d: float, *,
     an edge, which makes the forest acyclic. ``index`` reuses a prebuilt 3D
     index over the cloud's points.
     """
-    if not d > 0:
-        raise ParameterError(f"d must be positive, got {d}")
+    _check_d(d)
+    _check_sizes(cloud, index=index)
     if index is None:
         index = SpatialIndex(cloud.points)
-    return ParentForest(index.argmin_rank_in_ball(_height_rank(cloud), d))
+    return ParentForest(index.argmin_rank_in_ball(_order_and_rank(cloud.points[:, 2])[1], d))
 
 
 def zqs_parents(cloud: PointCloud, d: float, *,
@@ -213,12 +235,12 @@ def zqs_parents(cloud: PointCloud, d: float, *,
     """Quickshift with height as inverse density: link each point to its
     nearest strictly lower (z, then index) neighbor within d; roots have no
     lower neighbor in range."""
-    if not d > 0:
-        raise ParameterError(f"d must be positive, got {d}")
+    _check_d(d)
+    _check_sizes(cloud, index=index)
     if index is None:
         index = SpatialIndex(cloud.points)
-    nb = index.nearest_below_rank(_height_rank(cloud), d=d)
-    return ParentForest(np.where(nb < 0, np.arange(cloud.n), nb))
+    nb = index.nearest_below_rank(_order_and_rank(cloud.points[:, 2])[1], d=d)
+    return ParentForest(_quickshift_parents(nb))
 
 
 def knn_density_2d(cloud: PointCloud, k: int, workers: int = 1,
@@ -243,13 +265,10 @@ def gdqs_parents(cloud: PointCloud, d: float, density: DensityField) -> ParentFo
     resolve through the infinite class's index order. Labels derived from the
     forest apply to the 3D points unchanged.
     """
-    if not d > 0:
-        raise ParameterError(f"d must be positive, got {d}")
-    n = cloud.n
-    if density.n != n:
-        raise ContractError(f"density covers {density.n} points, cloud has {n}")
+    _check_d(d)
+    _check_sizes(cloud, density=density)
     nb = density.index2d.nearest_below_rank(density.parent_rank, d=d)
-    return ParentForest(np.where(nb < 0, np.arange(n), nb))
+    return ParentForest(_quickshift_parents(nb))
 
 
 def _sweep_edges(density: DensityField):
@@ -282,7 +301,7 @@ def _sweep_edges(density: DensityField):
     early = flat[mutual]
     first = np.ones(owner.shape[0], dtype=bool)
     first[1:] = owner[1:] != owner[:-1]
-    link = np.arange(n)
+    link = np.arange(n, dtype=np.int32)
     link[owner[first]] = early[first]
     tree = _resolve_to_fixpoint(link)
     keep = first | (tree[owner] != tree[early])
@@ -325,15 +344,13 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float)
     component locked instead of joining that neighbor's: merging two locked
     components changes no snapshot, so which one takes the point is moot.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ParameterError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     if density.k != k:
         raise ContractError(f"density was computed with k={density.k}, asked to use k={k}")
+    _check_sizes(cloud, density=density)
     n = cloud.n
-    if density.n != n:
-        raise ContractError(f"density covers {density.n} points, cloud has {n}")
     if n == 0:
-        return CoreSet((), np.empty(0, np.int64), np.empty(0, np.float64), 0)
+        return CoreSet((), np.empty(0, np.int64), 0)
 
     offsets, targets, eoff, early = _sweep_edges(density)
     parent = list(range(n))
@@ -400,8 +417,7 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float)
     for m in order[due:]:
         lock(m)
 
-    mode_idx = np.asarray(core_modes, dtype=np.int64)
-    return CoreSet(tuple(core_members), mode_idx, density.values[mode_idx], n)
+    return CoreSet(tuple(core_members), np.asarray(core_modes, dtype=np.int64), n)
 
 
 def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
@@ -409,24 +425,22 @@ def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
     """Label core points by their core, then climb every remaining point through
     its nearest strictly-denser 3D neighbor (uncapped search) until a core is
     reached. Returns labels renumbered 1..C by first appearance."""
+    _check_sizes(cloud, density=density, cores=cores, index3=index3)
     n = cloud.n
-    if density.n != n or cores.n != n:
-        raise ContractError("cloud, density, and cores disagree on point count")
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if not cores.cores:
         raise ContractError("empty core set on a non-empty cloud")
     core_id = cores.membership()
     noncore = np.flatnonzero(core_id < 0)
-    parent = np.arange(n, dtype=np.int64)
+    nb = np.full(n, -1, dtype=np.int64)
     if noncore.size:
         if index3 is None:
             index3 = SpatialIndex(cloud.points)
         nb = index3.nearest_below_rank(density.sweep_rank, subset=noncore)
         if (nb[noncore] < 0).any():
             raise ContractError("a non-core point has no denser point to climb to")
-        parent[noncore] = nb[noncore]
-    target = _resolve_to_fixpoint(parent)
+    target = _resolve_to_fixpoint(_quickshift_parents(nb))
     raw = core_id[target]
     if (raw < 0).any():
         raise ContractError("a climb terminated outside every core")

@@ -8,22 +8,13 @@ which counts against their IoU through the union term).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ContractError
 
-__all__ = ["iou", "match_clusters", "count_report", "MatchReport", "CountReport"]
-
-
-def iou(a, b) -> float:
-    """Intersection over union of two index sets; 0.0 when both are empty."""
-    sa, sb = set(a), set(b)
-    union = len(sa | sb)
-    if union == 0:
-        return 0.0
-    return len(sa & sb) / union
+__all__ = ["match_clusters", "count_report", "MatchReport", "CountReport"]
 
 
 @dataclass(frozen=True)
@@ -38,10 +29,6 @@ class MatchReport:
     unmatched_predicted: tuple
     unmatched_truth: tuple
 
-    @property
-    def total_iou(self) -> float:
-        return float(sum(p[2] for p in self.pairs))
-
     def to_dict(self) -> dict:
         return {
             "num_predicted": self.num_predicted,
@@ -55,6 +42,16 @@ class MatchReport:
             "unmatched_predicted": [int(i) for i in self.unmatched_predicted],
             "unmatched_truth": [int(i) for i in self.unmatched_truth],
         }
+
+
+def _labelings(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Both labelings as int64 arrays, checked to be 1-D and equally long."""
+    pred = np.asarray(pred, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if pred.shape != truth.shape or pred.ndim != 1:
+        raise ContractError(
+            f"labelings must be 1-D and equally long, got {pred.shape} vs {truth.shape}")
+    return pred, truth
 
 
 def _count_table(pred: np.ndarray, truth: np.ndarray, pred_ids: np.ndarray,
@@ -90,11 +87,7 @@ def match_clusters(pred: np.ndarray, truth: np.ndarray,
     # with the package would slow every CLI start-up
     from scipy.optimize import linear_sum_assignment
 
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ContractError(
-            f"labelings must be 1-D and equally long, got {pred.shape} vs {truth.shape}")
+    pred, truth = _labelings(pred, truth)
     pred_ids = np.unique(pred)
     truth_ids = np.unique(truth)
     if ignore_truth_label_zero:
@@ -129,12 +122,7 @@ class CountReport:
     extraneous_clusters: int
 
     def to_dict(self) -> dict:
-        return {
-            "total_truth_plants": self.total_truth_plants,
-            "total_predicted_clusters": self.total_predicted_clusters,
-            "multi_plant_clusters": self.multi_plant_clusters,
-            "extraneous_clusters": self.extraneous_clusters,
-        }
+        return asdict(self)
 
 
 def count_report(pred: np.ndarray, truth: np.ndarray) -> CountReport:
@@ -143,11 +131,7 @@ def count_report(pred: np.ndarray, truth: np.ndarray) -> CountReport:
     A multi-plant cluster holds points of at least two distinct non-zero truth
     labels; an extraneous cluster holds no non-zero truth point at all.
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ContractError(
-            f"labelings must be 1-D and equally long, got {pred.shape} vs {truth.shape}")
+    pred, truth = _labelings(pred, truth)
     pred_ids = np.unique(pred)
     truth_ids = np.unique(truth[truth != 0])
     touched = np.count_nonzero(_count_table(pred, truth, pred_ids, truth_ids), axis=1)

@@ -5,8 +5,8 @@ optional per-point integer labeling. Point order is significant: the point
 index is the deterministic tie-break key used throughout the package.
 
 Labels are written to PLY as RGB colors through an invertible palette
-(:func:`label_to_color` / :func:`color_to_label`); label 0 is reserved for
-ground / unlabeled points and is the only label that maps to black.
+(:func:`colors_for_labels` / :func:`labels_for_colors`); label 0 is reserved
+for ground / unlabeled points and is the only label that maps to black.
 """
 
 from __future__ import annotations
@@ -28,27 +28,9 @@ _LABEL_SPACE = 1 << 24
 _PALETTE_INVERSE = pow(_PALETTE_MULTIPLIER % _LABEL_SPACE, -1, _LABEL_SPACE)
 
 
-def label_to_color(label: int) -> tuple[int, int, int]:
-    """Map a non-negative label to a deterministic, injective RGB triple.
-
-    Label 0 (ground/unlabeled) is the only label colored black. Labels must
-    be below 2^24.
-    """
-    if label < 0 or label >= _LABEL_SPACE:
-        raise ParameterError(f"label {label} outside palette range [0, 2^24)")
-    h = (label * _PALETTE_MULTIPLIER) % _LABEL_SPACE
-    return ((h >> 16) & 0xFF, (h >> 8) & 0xFF, h & 0xFF)
-
-
-def color_to_label(rgb: tuple[int, int, int]) -> int:
-    """Exact inverse of :func:`label_to_color` (total on 24-bit color space)."""
-    r, g, b = rgb
-    v = ((int(r) & 0xFF) << 16) | ((int(g) & 0xFF) << 8) | (int(b) & 0xFF)
-    return (v * _PALETTE_INVERSE) % _LABEL_SPACE
-
-
 def colors_for_labels(labels: np.ndarray) -> np.ndarray:
-    """Vectorized palette: (n,) labels -> (n, 3) uint8 colors."""
+    """Palette: (n,) labels below 2^24 -> (n, 3) uint8 colors, deterministic
+    and injective; label 0 (ground/unlabeled) is the only label colored black."""
     labels = np.asarray(labels)
     bad = (labels < 0) | (labels >= _LABEL_SPACE)
     if bad.any():
@@ -74,7 +56,7 @@ def _renumber_first_appearance(ids: np.ndarray) -> np.ndarray:
 
 
 def labels_for_colors(rgb: np.ndarray, mode: str = "palette") -> np.ndarray:
-    """Vectorized inverse palette: (n, 3) uint8 colors -> (n,) int64 labels.
+    """Inverse palette: (n, 3) uint8 colors -> (n,) int64 labels.
 
     mode="palette" applies the exact palette inverse. mode="distinct" gives
     every unique RGB triple its own label, numbered from 1 in order of first
@@ -124,9 +106,6 @@ class PointCloud:
                 raise DataError(f"negative label at point index {int(np.flatnonzero(lab < 0)[0])}")
             lab.setflags(write=False)
             object.__setattr__(self, "labels", lab)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
     @property
     def n(self) -> int:
@@ -255,16 +234,10 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
         np.asarray(columns["y"], dtype=np.float64),
         np.asarray(columns["z"], dtype=np.float64),
     ]) if n else np.empty((0, 3))
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path}: non-finite coordinate at point index {int(np.flatnonzero(~finite)[0])}")
-
     labels = None
     type_of = dict(zip(names, types))
     if "label" in columns and _SCALAR_TYPES[type_of["label"]][0] in "iu":
         labels = np.asarray(columns["label"], dtype=np.int64)
-        if labels.size and labels.min() < 0:
-            raise DataError(f"{path}: negative label at point index {int(np.flatnonzero(labels < 0)[0])}")
     elif all(c in columns for c in ("red", "green", "blue")):
         rgb = np.column_stack([
             np.asarray(columns["red"]).astype(np.uint8),
@@ -272,7 +245,10 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
             np.asarray(columns["blue"]).astype(np.uint8),
         ])
         labels = labels_for_colors(rgb, mode=color_mode)
-    return PointCloud(points, labels)
+    try:
+        return PointCloud(points, labels)
+    except DataError as exc:  # a non-finite coordinate or a negative label
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _parse_ascii_rows(rows: list[str], ncols: int, path: Path) -> np.ndarray:

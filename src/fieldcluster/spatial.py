@@ -3,21 +3,21 @@
 Wraps scipy's cKDTree behind the query semantics the clustering algorithms
 rely on:
 
-* all distance comparisons happen in exact squared-distance space, computed
-  with the same numpy operations the brute-force test oracles use, so the
-  tree path and an O(n^2) scan are bit-for-bit interchangeable;
+* all distance comparisons happen in exact squared-distance space; one
+  function (``_sq_dist_cols``) sums every squared distance from per-axis
+  coordinate columns, in the order in which the brute-force test oracles'
+  ``einsum`` sums, so the tree path and an O(n^2) scan are bit-for-bit
+  interchangeable and no (points, kk, dim) coordinate array is gathered;
 * balls are open (``dist < d``);
 * ties anywhere are broken by the smaller original point index.
 
 Per-point k-NN windows (the kk nearest points, self included, with their
 exact squared distances) come from one chunked query loop, the only place the
-index's own tree is queried for more than three neighbors. The squared
-distances are summed from per-axis coordinate columns kept on the index, so
-no (points, kk, dim) coordinate array is gathered. The nearest-below-rank
-search and the radius lists grow the windows 4x per round instead of
-materializing neighbor balls, resolving each point as soon as its window
-provably contains the answer; windows come back from scipy as arrays, which
-keeps the inner loops vectorized.
+index's own tree is queried for more than three neighbors. The
+nearest-below-rank search and the radius lists grow the windows 4x per round
+instead of materializing neighbor balls, resolving each point as soon as its
+window provably contains the answer; windows come back from scipy as arrays,
+which keeps the inner loops vectorized.
 
 The k-NN radius alone (``knn_window`` without indices) skips the windows for
 most points: the tree returns the three neighbors around the k-th, one exact
@@ -62,22 +62,16 @@ _TILE_MIN_SIDE = 8
 _TILE_MARGIN = 1.0625
 
 
-def _sq_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact squared distances between broadcast rows of p and q, computed
-    as the brute-force oracles compute them."""
-    diff = p - q
-    return np.einsum("...i,...i->...", diff, diff)
-
-
 def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """Squared distances from point sub[r] to the points idx[r], from the
-    per-axis coordinate columns ``cols``, bit-identical to ``_sq_dist``.
+    """Exact squared distances from point sub[r] to the points idx[r] (a 2D
+    array), from the per-axis coordinate columns ``cols``: the package's one
+    implementation of the squared distance.
 
-    The columns are added in the order in which numpy's ``einsum`` sums a
-    length-2 or length-3 last axis: x then y in 2D, (dx^2 + dz^2) + dy^2 in 3D
-    (numpy 2.4). That order copies a numpy internal, which the oracles also
-    rely on through ``einsum``; ``test_spatial.py`` pins the two against each
-    other, so an upgrade that reorders ``einsum`` fails there.
+    The columns are added in the order in which numpy's ``einsum``, which the
+    brute-force oracles use, sums a length-2 or length-3 last axis: x then y
+    in 2D, (dx^2 + dz^2) + dy^2 in 3D (numpy 2.4). That order copies a numpy
+    internal; ``test_spatial.py`` pins the two against each other, so an
+    upgrade that reorders ``einsum`` fails there.
     """
     d2 = None
     for axis in (0, 1) if len(cols) == 2 else (0, 2, 1):
@@ -92,10 +86,9 @@ def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _lowest_in_ball(ranked: np.ndarray, q: np.ndarray, own: np.ndarray, d: float) -> np.ndarray:
-    """For each query point q[r], whose own position in the rank-ordered
-    points ``ranked`` is own[r], the first position holding a point strictly
-    inside its d-ball.
+def _lowest_in_ball(ranked: np.ndarray, own: np.ndarray, d: float) -> np.ndarray:
+    """For each query point ranked[own[r]], a point of the rank-ordered points
+    ``ranked``, the first position holding a point strictly inside its d-ball.
 
     Each query's candidate starts as the whole rank range, which holds a ball
     point (itself), and moves to its left half when that half holds a point
@@ -110,9 +103,10 @@ def _lowest_in_ball(ranked: np.ndarray, q: np.ndarray, own: np.ndarray, d: float
     full. The cost does not depend on how many points a ball holds.
     """
     m = ranked.shape[0]
+    cols = tuple(ranked[:, a] for a in range(ranked.shape[1]))
     cap = d * d
     bound = d * _BOUND_SLACK
-    start = np.zeros(q.shape[0], dtype=np.int64)  # first rank of each candidate block
+    start = np.zeros(own.shape[0], dtype=np.int64)  # first rank of each candidate block
     half = _LEAF
     while half < m:
         half *= 2
@@ -127,23 +121,22 @@ def _lowest_in_ball(ranked: np.ndarray, q: np.ndarray, own: np.ndarray, d: float
             b = start[rows[0]]
             block = ranked[b:b + half]
             tree = cKDTree(block)
-            qr = q[rows]
-            _, j = tree.query(qr, k=1, distance_upper_bound=bound)
+            _, j = tree.query(ranked[own[rows]], k=1, distance_upper_bound=bound)
             hit = np.flatnonzero(j < block.shape[0])
             inside = np.zeros(rows.size, dtype=bool)
-            inside[hit] = _sq_dist(block[j[hit]], qr[hit]) < cap
+            inside[hit] = _sq_dist_cols(cols, b + j[hit, None], own[rows[hit]])[:, 0] < cap
             unsure = hit[~inside[hit]]
-            for r, ball in zip(unsure, tree.query_ball_point(qr[unsure], bound)):
-                inside[r] = (_sq_dist(block[ball], qr[r]) < cap).any()
+            for r, ball in zip(unsure, tree.query_ball_point(ranked[own[rows[unsure]]], bound)):
+                near = b + np.asarray(ball, dtype=np.int64)[None]
+                inside[r] = (_sq_dist_cols(cols, near, own[rows[r:r + 1]]) < cap).any()
             start[rows[~inside]] += half
-    out = np.empty(q.shape[0], dtype=np.int64)
-    for lo in range(0, q.shape[0], _LEAF_ROWS):
+    out = np.empty(own.shape[0], dtype=np.int64)
+    for lo in range(0, own.shape[0], _LEAF_ROWS):
         sub = slice(lo, lo + _LEAF_ROWS)
         pos = np.minimum(start[sub, None] + np.arange(_LEAF), m - 1)
-        d2 = _sq_dist(ranked[pos], q[sub, None, :])
         # ranks ascend along a row, and its block holds a ball point ahead of
         # any padding past m
-        out[sub] = start[sub] + np.argmax(d2 < cap, axis=1)
+        out[sub] = start[sub] + np.argmax(_sq_dist_cols(cols, pos, own[sub]) < cap, axis=1)
     return out
 
 
@@ -304,7 +297,7 @@ class SpatialIndex:
         order[rank] = np.arange(self.n)
         for core, region in self._tiles(order, d):
             own = np.searchsorted(rank[region], rank[core])
-            out[core] = region[_lowest_in_ball(self.points[region], self.points[core], own, d)]
+            out[core] = region[_lowest_in_ball(self.points[region], own, d)]
         return out
 
     def _tiles(self, order: np.ndarray, d: float):

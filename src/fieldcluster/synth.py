@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .pointcloud import PointCloud
 
-__all__ = ["FieldSpec", "generate_plant", "generate_field", "parse_field_spec"]
+__all__ = ["FieldSpec", "generate_field", "parse_field_spec"]
 
 # stream-id bases for the (seed, stream) Philox keys
 _POSITION_STREAM = 1 << 32
@@ -71,7 +71,7 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed % (1 << 64), stream]))
 
 
-def generate_plant(spec: FieldSpec, rng: np.random.Generator,
+def _generate_plant(spec: FieldSpec, rng: np.random.Generator,
                    base: tuple[float, float]) -> np.ndarray:
     """One plant at the given ground position: exactly points_per_plant points.
 
@@ -138,7 +138,7 @@ def generate_field(spec: FieldSpec) -> PointCloud:
                 next_label += 1
 
     # per-plant streams keyed by label: order independent, parallelizable
-    chunks = [generate_plant(spec, _rng(spec.seed, label), (bx, by))
+    chunks = [_generate_plant(spec, _rng(spec.seed, label), (bx, by))
               for label, bx, by in plants]
     labels = [np.full(spec.points_per_plant, label, dtype=np.int64)
               for label, _, _ in plants]

@@ -1,5 +1,6 @@
 import json
 import os
+import statistics
 import subprocess
 import sys
 from dataclasses import fields
@@ -248,13 +249,16 @@ class TestBench:
     def test_ratio_reported_between_sizes(self, tmp_path, runner):
         rep = tmp_path / "bench.json"
         result = runner.invoke(main, ["bench", "--sizes", "1000,2000", "--algo", "gdqspp",
-                                      "--k", "16", "--repeats", "1", "--report", str(rep)])
+                                      "--k", "16", "--repeats", "3", "--report", str(rep)])
         assert result.exit_code == 0, result.output
         doc = json.loads(rep.read_text())
         assert doc["schema"] == 1
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["ratio"] is None
         assert doc["rows"][1]["ratio"] > 0
+        for row in doc["rows"]:
+            assert len(row["times"]) == doc["repeats"]
+            assert statistics.median(row["times"]) == row["seconds"]
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_must_be_positive(self, runner, repeats):
@@ -288,6 +292,18 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0, result.output
     assert result.output == f"fieldcluster, version {fieldcluster.__version__}\n"
+
+
+def test_public_names_are_pinned():
+    # a new public name needs an edit here
+    assert sorted(fieldcluster.__all__) == [
+        "ContractError", "CoreSet", "CountReport", "DataError", "DensityField",
+        "FieldClusterError", "FieldSpec", "MatchReport", "ParameterError", "Params",
+        "ParentForest", "PlyError", "PointCloud", "SpatialIndex", "__version__",
+        "cluster", "cluster_over_d", "count_report", "extract_cores", "forest_to_labels",
+        "gdqs_parents", "gdqspp_assign", "generate_field", "knn_density_2d", "load_ply",
+        "match_clusters", "parse_field_spec", "rain_parents", "save_ply", "zqs_parents",
+    ]
 
 
 def test_startup_does_not_import_scipy_optimize():

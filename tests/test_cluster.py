@@ -22,7 +22,7 @@ from fieldcluster import (
     rain_parents,
     zqs_parents,
 )
-from fieldcluster.cluster import DensityField, ParentForest
+from fieldcluster.cluster import DensityField, ParentForest, _resolve_to_fixpoint
 from conftest import make_cloud
 
 
@@ -264,9 +264,26 @@ class TestGdqsppAssign:
     def test_empty_cores_rejected(self):
         from fieldcluster.cluster import CoreSet
         dens = knn_density_2d(LINE4, 2)
-        empty = CoreSet((), np.empty(0, np.int64), np.empty(0, float), 4)
+        empty = CoreSet((), np.empty(0, np.int64), 4)
         with pytest.raises(ContractError):
             gdqspp_assign(LINE4, dens, empty)
+
+
+class TestPrebuiltSizes:
+    """A prebuilt index passed in must cover exactly the cloud's points."""
+
+    CLOUD = PointCloud(make_cloud(5, 50))
+
+    @pytest.mark.parametrize("parents", [rain_parents, zqs_parents])
+    def test_index_of_other_size_rejected(self, parents):
+        with pytest.raises(ContractError, match="index covers 80 points, cloud has 50"):
+            parents(self.CLOUD, 0.5, index=SpatialIndex(make_cloud(6, 80)))
+
+    def test_index3_of_other_size_rejected(self):
+        dens = knn_density_2d(self.CLOUD, 4)
+        cores = extract_cores(self.CLOUD, dens, 4, 0.3)
+        with pytest.raises(ContractError, match="index3 covers 30 points, cloud has 50"):
+            gdqspp_assign(self.CLOUD, dens, cores, index3=SpatialIndex(make_cloud(6, 30)))
 
 
 class TestForestToLabels:
@@ -286,6 +303,16 @@ class TestForestToLabels:
 
     def test_empty(self):
         assert forest_to_labels(ParentForest(np.empty(0, np.int64))).size == 0
+
+    def test_fixpoints_keep_int32(self):
+        # the core sweep resolves its link trees in int32 to halve their size
+        rng = np.random.default_rng(8)
+        parent = np.arange(5000)
+        parent[1:] = rng.integers(0, np.arange(1, 5000))
+        wide = _resolve_to_fixpoint(parent)
+        narrow = _resolve_to_fixpoint(parent.astype(np.int32))
+        assert narrow.dtype == np.int32
+        assert np.array_equal(narrow, wide)
 
     def test_caller_arrays_stay_writable(self):
         parent = np.array([0, 0, 1])

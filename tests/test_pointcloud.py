@@ -7,12 +7,11 @@ from fieldcluster import (
     ParameterError,
     PlyError,
     PointCloud,
-    color_to_label,
-    label_to_color,
     load_ply,
     save_ply,
 )
 from fieldcluster.pointcloud import colors_for_labels, labels_for_colors
+from references import color_to_label, label_to_color
 
 
 class TestPalette:

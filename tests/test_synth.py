@@ -9,11 +9,10 @@ from fieldcluster import (
     Params,
     cluster,
     generate_field,
-    generate_plant,
     match_clusters,
     parse_field_spec,
 )
-from fieldcluster.synth import _rng
+from fieldcluster.synth import _generate_plant as generate_plant, _rng
 
 
 SMALL = FieldSpec(rows=2, cols=3, points_per_plant=80, double_plant_prob=0.0, seed=5)
