@@ -87,8 +87,9 @@ def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
 
 
 def _lowest_in_ball(ranked: np.ndarray, own: np.ndarray, d: float) -> np.ndarray:
-    """For each query point ranked[own[r]], a point of the rank-ordered points
-    ``ranked``, the first position holding a point strictly inside its d-ball.
+    """For each query point ranked[own[r]], own[r] being its position among
+    the rank-ordered points ``ranked``, the first position holding a point
+    strictly inside its d-ball.
 
     Each query's candidate starts as the whole rank range, which holds a ball
     point (itself), and moves to its left half when that half holds a point
