@@ -97,10 +97,6 @@ class ParentForest:
         parent.setflags(write=False)
         object.__setattr__(self, "parent", parent)
 
-    @property
-    def n(self) -> int:
-        return self.parent.shape[0]
-
 
 @dataclass(frozen=True)
 class CoreSet:

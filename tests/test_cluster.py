@@ -309,6 +309,8 @@ class TestForestToLabels:
         rng = np.random.default_rng(8)
         parent = np.arange(5000)
         parent[1:] = rng.integers(0, np.arange(1, 5000))
+        roots = np.flatnonzero(rng.random(5000) < 0.01)
+        parent[roots] = roots
         wide = _resolve_to_fixpoint(parent)
         narrow = _resolve_to_fixpoint(parent.astype(np.int32))
         assert narrow.dtype == np.int32
