@@ -21,7 +21,7 @@ from . import __version__
 from .cluster import Params, cluster, cluster_over_d
 from .errors import DataError, FieldClusterError, ParameterError
 from .evaluation import count_report, match_clusters
-from .pointcloud import load_ply, save_ply
+from .pointcloud import PointCloud, load_ply, save_ply
 from .synth import _FIELD_TYPES, FieldSpec, generate_field, parse_field_spec
 
 _DEFAULT_K = 1200
@@ -31,18 +31,16 @@ _MAX_SWEEP_VALUES = 1000
 
 
 def _build_params(algo: str, d: float | None, k: int | None, beta: float | None) -> Params:
-    """Fill in defaults only for parameters the algorithm accepts, then validate;
-    an invalid combination is a usage error."""
+    """Fill in defaults only for parameters the algorithm accepts; an invalid
+    combination is a usage error."""
     if algo in ("gdqs", "gdqspp") and k is None:
         k = _DEFAULT_K
     if algo == "gdqspp" and beta is None:
         beta = _DEFAULT_BETA
-    params = Params(algorithm=algo, d=d, k=k, beta=beta)
     try:
-        params.validate()
+        return Params(algorithm=algo, d=d, k=k, beta=beta)
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from None
-    return params
 
 
 # an absent --threads becomes scipy's "all cores" (-1)
@@ -102,7 +100,7 @@ def cmd_cluster(input_ply, output_ply, algo, d, k, beta, binary, threads, report
     }, report_path)
 
 
-def _require_labels(path: str, color_mode: str) -> tuple:
+def _require_labels(path: str, color_mode: str) -> PointCloud:
     cloud = load_ply(path, color_mode=color_mode)
     if cloud.labels is None:
         raise DataError(f"{path}: point cloud carries no labels")
@@ -157,7 +155,7 @@ def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
         if algo is None:
             raise click.UsageError("--sweep-d requires --algo")
         values = _parse_sweep(sweep_d)
-        # every d of the sweep is positive iff the first is
+        # every d of the sweep is valid iff the first, the smallest, is
         k = _build_params(algo, values[0], k, None).k
     try:
         if sweep_d is None:
@@ -227,7 +225,6 @@ def cmd_synth(output_ply, config_path, binary, **flags):
         overrides = {key: val for key, val in flags.items() if val is not None}
         if overrides:
             spec = FieldSpec(**{**spec.__dict__, **overrides})
-        spec.validate()
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from None
     try:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
 from .pointcloud import PointCloud, _renumber_first_appearance
-from .spatial import SpatialIndex
+from .spatial import SpatialIndex, _check_d
 
 __all__ = [
     "DensityField", "ParentForest", "CoreSet", "Params",
@@ -123,14 +123,15 @@ _ALGO_PARAMS = {"rain": ("d",), "zqs": ("d",), "gdqs": ("d", "k"), "gdqspp": ("k
 
 @dataclass(frozen=True)
 class Params:
-    """Algorithm selector plus its parameters; arity is checked strictly."""
+    """Algorithm selector plus its parameters, checked when built: arity
+    strictly, and each value's range."""
 
     algorithm: str
     d: float | None = None
     k: int | None = None
     beta: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.algorithm not in _ALGO_PARAMS:
             raise ParameterError(
                 f"unknown algorithm {self.algorithm!r}; expected one of rain, zqs, gdqs, gdqspp")
@@ -156,11 +157,6 @@ class Params:
 
 
 # ------------------------------------------------------------ shared helpers
-
-def _check_d(d: float) -> None:
-    if not d > 0:
-        raise ParameterError(f"d must be positive, got {d}")
-
 
 def _check_beta(beta: float) -> None:
     if not 0.0 <= beta <= 1.0:
@@ -219,7 +215,6 @@ def rain_parents(cloud: PointCloud, d: float, *,
     an edge, which makes the forest acyclic. ``index`` reuses a prebuilt 3D
     index over the cloud's points.
     """
-    _check_d(d)
     _check_sizes(cloud, index=index)
     if index is None:
         index = SpatialIndex(cloud.points)
@@ -231,7 +226,6 @@ def zqs_parents(cloud: PointCloud, d: float, *,
     """Quickshift with height as inverse density: link each point to its
     nearest strictly lower (z, then index) neighbor within d; roots have no
     lower neighbor in range."""
-    _check_d(d)
     _check_sizes(cloud, index=index)
     if index is None:
         index = SpatialIndex(cloud.points)
@@ -261,7 +255,6 @@ def gdqs_parents(cloud: PointCloud, d: float, density: DensityField) -> ParentFo
     resolve through the infinite class's index order. Labels derived from the
     forest apply to the 3D points unchanged.
     """
-    _check_d(d)
     _check_sizes(cloud, density=density)
     nb = density.index2d.nearest_below_rank(density.parent_rank, d=d)
     return ParentForest(_quickshift_parents(nb))
@@ -462,36 +455,41 @@ def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
     order, each equal to ``cluster(cloud, Params(algorithm, d=d, k=k), workers)``.
 
     What does not depend on d is built once, at the first d: the 3D index of
-    ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``. Each d is
-    validated before its labels are computed, so errors surface at the same d
-    as with one ``cluster`` call per d.
+    ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``. Each d's
+    ``Params`` is built, and so checked, just before its labels are computed,
+    so errors surface at the same d as with one ``cluster`` call per d.
     """
+    return _labels_per_params(cloud, (Params(algorithm, d=d, k=k) for d in ds), workers)
+
+
+def _labels_per_params(cloud: PointCloud, runs: Iterable[Params],
+                       workers: int) -> Iterator[np.ndarray]:
+    """The labels of each of ``runs``: one of ``rain``, ``zqs`` or ``gdqs`` and
+    one k, at any d; see ``cluster_over_d``."""
     n = cloud.n
     shared = None
-    for d in ds:
-        Params(algorithm, d=d, k=k).validate()
+    for params in runs:
         if n == 0:
             yield np.empty(0, dtype=np.int64)
-        elif algorithm == "gdqs":
+        elif params.algorithm == "gdqs":
             if shared is None:
-                _need_two_points(algorithm, n)
-                shared = knn_density_2d(cloud, k, workers=workers)
-            yield forest_to_labels(gdqs_parents(cloud, d, shared))
+                _need_two_points(params.algorithm, n)
+                shared = knn_density_2d(cloud, params.k, workers=workers)
+            yield forest_to_labels(gdqs_parents(cloud, params.d, shared))
         else:
             if shared is None:
                 shared = SpatialIndex(cloud.points)
-            parents = rain_parents if algorithm == "rain" else zqs_parents
-            yield forest_to_labels(parents(cloud, d, index=shared))
+            parents = rain_parents if params.algorithm == "rain" else zqs_parents
+            yield forest_to_labels(parents(cloud, params.d, index=shared))
 
 
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input, parameters, and any ``workers``, which threads
     only the k-NN density query. ``rain``, ``zqs`` and ``gdqs`` run as a
-    one-value ``cluster_over_d``."""
-    params.validate()
+    one-value ``cluster_over_d`` over ``params`` itself."""
     if params.algorithm != "gdqspp":
-        return next(cluster_over_d(cloud, params.algorithm, [params.d], params.k, workers))
+        return next(_labels_per_params(cloud, [params], workers))
     n = cloud.n
     if n == 0:
         return np.empty(0, dtype=np.int64)

@@ -165,26 +165,34 @@ def _parse_header(raw: bytes, path: Path):
     return fmt, elements, body
 
 
-def _vertex_layout(elem: dict, path: Path):
-    names, types = [], []
+def _vertex_dtype(elem: dict, fmt: str, path: Path) -> np.dtype:
+    """The vertex record of either encoding: each property in its declared
+    type, except that ascii floats are read as doubles, the precision their
+    text carries."""
+    fields = []
     for type_name, prop_name in elem["props"]:
         if type_name == "list":
             raise PlyError(f"{path}: list property in vertex element is not supported")
-        names.append(prop_name)
-        types.append(type_name)
+        code = _SCALAR_TYPES[type_name]
+        fields.append((prop_name, "<f8" if fmt == "ascii" and code[0] == "f" else "<" + code))
+    names = [name for name, _ in fields]
+    if len(set(names)) < len(names):
+        raise PlyError(f"{path}: vertex element declares a property twice")
     for coord in ("x", "y", "z"):
         if coord not in names:
             raise PlyError(f"{path}: vertex element lacks property {coord!r}")
-    return names, types
+    return np.dtype(fields)
 
 
 def load_ply(path, color_mode: str = "palette") -> PointCloud:
     """Read an ascii or binary_little_endian PLY vertex cloud.
 
-    Labels are populated when the vertex element carries an integer ``label``
-    property (takes precedence) or red/green/blue colors; colors decode via
-    the exact palette inverse, or one-label-per-unique-color when
-    ``color_mode="distinct"``. Unknown scalar properties are skipped.
+    Both encodings yield one record per vertex, each property in its declared
+    type (see ``_vertex_dtype``). Labels are populated when the vertex element
+    carries an integer ``label`` property (takes precedence) or red/green/blue
+    colors; colors decode via the exact palette inverse, or
+    one-label-per-unique-color when ``color_mode="distinct"``. Unknown scalar
+    properties are skipped.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -195,7 +203,7 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
         raise PlyError(f"{path}: no vertex element in header")
     vert = elements[vertex_idx]
     n = vert["count"]
-    names, types = _vertex_layout(vert, path)
+    dtype = _vertex_dtype(vert, fmt, path)
 
     if fmt == "ascii":
         lines = body.decode("ascii", errors="replace").splitlines()
@@ -205,13 +213,8 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
             raise PlyError(
                 f"{path}: truncated body: header declares {n} vertices, found {len(rows)}"
             )
-        if n:
-            data = _parse_ascii_rows(rows, len(names), path)
-            columns = {name: data[:, i] for i, name in enumerate(names)}
-        else:
-            columns = {name: np.empty(0) for name in names}
+        rec = _parse_ascii_rows(rows, dtype, path)
     else:
-        dtype = np.dtype([(nm, "<" + _SCALAR_TYPES[tp]) for nm, tp in zip(names, types)])
         offset = 0
         for e in elements[:vertex_idx]:
             for type_name, _ in e["props"]:
@@ -227,23 +230,13 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
                 f"({need - offset} bytes), found {len(body) - offset} bytes"
             )
         rec = np.frombuffer(body, dtype=dtype, count=n, offset=offset)
-        columns = {name: rec[name] for name in names}
 
-    points = np.column_stack([
-        np.asarray(columns["x"], dtype=np.float64),
-        np.asarray(columns["y"], dtype=np.float64),
-        np.asarray(columns["z"], dtype=np.float64),
-    ]) if n else np.empty((0, 3))
+    points = np.column_stack([rec[c].astype(np.float64) for c in ("x", "y", "z")])
     labels = None
-    type_of = dict(zip(names, types))
-    if "label" in columns and _SCALAR_TYPES[type_of["label"]][0] in "iu":
-        labels = np.asarray(columns["label"], dtype=np.int64)
-    elif all(c in columns for c in ("red", "green", "blue")):
-        rgb = np.column_stack([
-            np.asarray(columns["red"]).astype(np.uint8),
-            np.asarray(columns["green"]).astype(np.uint8),
-            np.asarray(columns["blue"]).astype(np.uint8),
-        ])
+    if "label" in dtype.names and dtype["label"].kind in "iu":
+        labels = rec["label"]
+    elif {"red", "green", "blue"} <= set(dtype.names):
+        rgb = np.column_stack([rec[c].astype(np.uint8) for c in ("red", "green", "blue")])
         labels = labels_for_colors(rgb, mode=color_mode)
     try:
         return PointCloud(points, labels)
@@ -251,22 +244,27 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _parse_ascii_rows(rows: list[str], ncols: int, path: Path) -> np.ndarray:
+def _parse_ascii_rows(rows: list[str], dtype: np.dtype, path: Path) -> np.ndarray:
+    """One record per row, each field parsed as its type in ``dtype``; a row
+    with more or fewer fields, or a field its type cannot hold, is an error.
+    A PLY body has no comments, so a '#' is read as a field like any other."""
+    if not rows:  # loadtxt warns on empty input
+        return np.empty(0, dtype=dtype)
     try:
-        data = np.loadtxt(io.StringIO("\n".join(rows)), dtype=np.float64, ndmin=2)
+        return np.loadtxt(io.StringIO("\n".join(rows)), dtype=dtype, ndmin=1, comments=None)
     except ValueError:
-        data = None
-    if data is None or data.shape[1] < ncols:
-        for i, row in enumerate(rows):  # slow path only to name the bad line
-            fields = row.split()
-            if len(fields) < ncols:
-                raise PlyError(f"{path}: vertex row {i} has {len(fields)} fields, expected {ncols}")
-            try:
-                [float(f) for f in fields[:ncols]]
-            except ValueError:
-                raise PlyError(f"{path}: vertex row {i} is not numeric: {row!r}") from None
-        raise PlyError(f"{path}: malformed ascii vertex data")
-    return data
+        pass
+    ncols = len(dtype.names)
+    for i, row in enumerate(rows):  # slow path only to name the bad line
+        fields = row.split()
+        if len(fields) < ncols:
+            raise PlyError(f"{path}: vertex row {i} has {len(fields)} fields, expected {ncols}")
+        try:
+            np.loadtxt([" ".join(fields[:ncols])], dtype=dtype, comments=None)
+        except ValueError:
+            raise PlyError(f"{path}: vertex row {i} is not numeric "
+                           f"in its declared types: {row!r}") from None
+    raise PlyError(f"{path}: malformed ascii vertex data")
 
 
 def save_ply(cloud: PointCloud, labeling: np.ndarray, path, binary: bool = False) -> None:

@@ -62,6 +62,14 @@ _TILE_MIN_SIDE = 8
 _TILE_MARGIN = 1.0625
 
 
+def _check_d(d: float) -> None:
+    """Reject a radius d that is not positive (NaN included) or whose square
+    underflows to 0, which would leave even a ball's centre outside it: the
+    package's one check of d."""
+    if not (d > 0 and d * d > 0):
+        raise ParameterError(f"d must be positive and d*d must not underflow to 0, got {d}")
+
+
 def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """Exact squared distances from point sub[r] to the points idx[r] (a 2D
     array), from the per-axis coordinate columns ``cols``: the package's one
@@ -290,9 +298,7 @@ class SpatialIndex:
         holds. It runs on one thread: a tile's query batches are too small
         for scipy's thread pool to pay off.
         """
-        # d * d must not underflow: the ball would then lose its own centre
-        if not (d > 0 and d * d > 0):
-            raise ParameterError(f"radius d must be positive, got {d}")
+        _check_d(d)
         out = np.empty(self.n, dtype=np.int64)
         order = np.empty(self.n, dtype=np.int64)
         order[rank] = np.arange(self.n)
@@ -346,8 +352,8 @@ class SpatialIndex:
         strictly smaller rank, within the open d-ball when d is given and
         anywhere otherwise; -1 when no such point exists. With ``subset``,
         only those members are resolved (others stay -1)."""
-        if d is not None and not d > 0:
-            raise ParameterError(f"radius d must be positive, got {d}")
+        if d is not None:
+            _check_d(d)
         n = self.n
         out = np.full(n, -1, dtype=np.int64)
         if n <= 1:

@@ -30,7 +30,7 @@ _GROUND_STREAM = 1 << 33
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Parameters of a synthetic field; see generate_field."""
+    """Parameters of a synthetic field, checked when built; see generate_field."""
 
     rows: int = 10
     cols: int = 10
@@ -46,7 +46,7 @@ class FieldSpec:
     noise_sigma: float = 0.005
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ParameterError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
         if self.row_spacing <= 0 or self.plant_spacing <= 0:
@@ -118,7 +118,6 @@ def _generate_plant(spec: FieldSpec, rng: np.random.Generator,
 
 def generate_field(spec: FieldSpec) -> PointCloud:
     """Labeled synthetic field; deterministic in spec.seed."""
-    spec.validate()
     plants: list[tuple[int, float, float]] = []  # (label, base x, base y)
     next_label = 1
     for r in range(spec.rows):

@@ -72,6 +72,14 @@ class TestSynth:
         assert result.exit_code == 0
         assert "plants: 6" in result.output
 
+    def test_invalid_config_value_is_an_error_even_when_overridden(self, tmp_path, runner):
+        cfg = tmp_path / "field.cfg"
+        cfg.write_text("rows = 0\ncols = 2\n")
+        result = runner.invoke(main, ["synth", str(tmp_path / "f.ply"),
+                                      "--config", str(cfg), "--rows", "2"])
+        assert result.exit_code == 2
+        assert "grid must be at least 1x1, got 0x2" in result.output
+
 
 class TestCluster:
     def test_paper_default_parameters_accepted(self, small_field, tmp_path, runner):

@@ -339,6 +339,35 @@ def test_empty_input_gives_empty_results():
     assert count_report([3, 5], [0, 0]) == CountReport(0, 2, 0, 2)
 
 
+# the first two points coincide, so a ball whose radius squares to 0 loses them
+COINCIDENT = PointCloud(np.array([[0.0, 0, 0], [0, 0, 0], [1, 0, 1]]))
+D_CHECKERS = {
+    "Params": lambda d: Params("zqs", d=d),
+    "rain_parents": lambda d: rain_parents(COINCIDENT, d),
+    "zqs_parents": lambda d: zqs_parents(COINCIDENT, d),
+    "gdqs_parents": lambda d: gdqs_parents(COINCIDENT, d, knn_density_2d(COINCIDENT, 1)),
+    "argmin_rank_in_ball":
+        lambda d: SpatialIndex(COINCIDENT.points).argmin_rank_in_ball(np.arange(3), d),
+    "nearest_below_rank":
+        lambda d: SpatialIndex(COINCIDENT.points).nearest_below_rank(np.arange(3), d=d),
+}
+
+
+class TestDCheck:
+    @pytest.mark.parametrize("d", [0.0, -1.0, float("nan"), 1e-200])
+    @pytest.mark.parametrize("name", list(D_CHECKERS))
+    def test_one_check_and_message_everywhere(self, name, d):
+        with pytest.raises(ParameterError) as info:
+            D_CHECKERS[name](d)
+        assert str(info.value) == f"d must be positive and d*d must not underflow to 0, got {d}"
+
+    def test_params_raise_when_built(self):
+        with pytest.raises(ParameterError, match="d must be positive"):
+            Params("zqs", d=0.0)
+        with pytest.raises(ParameterError, match="missing k"):
+            Params("gdqs", d=0.1)
+
+
 class TestClusterDispatch:
     def test_rain_composition(self):
         direct = forest_to_labels(rain_parents(STEM, 0.6))

@@ -144,6 +144,9 @@ class TestPlyRoundTrip:
 
 
 XYZ = "property float x\nproperty float y\nproperty float z\n"
+# further vertex properties, ending the header
+INT_LABEL = "property int label\nend_header\n"
+UCHAR_RGB = "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
 
 
 class TestPlyLoader:
@@ -166,6 +169,10 @@ class TestPlyLoader:
         ("ply\nformat ascii 1.0\nelement face 0\n"
          "property list uchar int vertex_indices\nend_header\n",
          "no vertex element"),
+        ("ply\nformat ascii 1.0\nelement vertex 0\n" + XYZ + "property int x\nend_header\n",
+         "declares a property twice"),
+        ("ply\nformat binary_little_endian 1.0\nelement vertex 0\n" + XYZ
+         + "property int x\nend_header\n", "declares a property twice"),
     ])
     def test_header_errors(self, tmp_path, header, message):
         path = tmp_path / "bad.ply"
@@ -177,13 +184,40 @@ class TestPlyLoader:
         ("0 0 0\n0 0\n", "vertex row 1 has 2 fields, expected 3"),
         ("0 0 0\n0 x 0\n", "vertex row 1 is not numeric"),
         ("0 0 0\n0 0 0 5\n", "malformed ascii vertex data"),
+        ("0 0 0 5\n0 0 0 5\n", "malformed ascii vertex data"),
+        ("0 0 0\n# 0 0\n", "vertex row 1 is not numeric"),
+        (INT_LABEL + "0 0 0 1\n0 0 0 12.7\n", "vertex row 1 is not numeric"),
+        (UCHAR_RGB + "0 0 0 1 2 3\n0 0 0 300 0 0\n", "vertex row 1 is not numeric"),
+        (UCHAR_RGB + "0 0 0 1 2 3\n0 0 0 -1 0 0\n", "vertex row 1 is not numeric"),
     ])
     def test_bad_ascii_rows(self, tmp_path, body, message):
         path = tmp_path / "rows.ply"
-        path.write_text("ply\nformat ascii 1.0\nelement vertex 2\n" + XYZ
-                        + "end_header\n" + body)
+        # a body that declares further properties ends the header itself
+        end = "" if "end_header\n" in body else "end_header\n"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 2\n" + XYZ + end + body)
         with pytest.raises(PlyError, match=message):
             load_ply(path)
+
+    @pytest.mark.parametrize("label", [("int", "<i4"), ("uint", "<u4"), None])
+    def test_ascii_and_binary_load_alike(self, tmp_path, rng, label):
+        props = [("double", "x", "<f8"), ("double", "y", "<f8"), ("double", "z", "<f8")]
+        props += [(label[0], "label", label[1])] if label else []
+        props += [("uchar", c, "u1") for c in ("red", "green", "blue")]
+        rec = np.zeros(50, dtype=[(name, code) for _, name, code in props])
+        for _, name, code in props:
+            rec[name] = rng.normal(0, 1e3, 50) if code == "<f8" else \
+                rng.integers(0, 2**31 if name == "label" else 256, 50)
+        header = "ply\nformat {} 1.0\nelement vertex 50\n" + "".join(
+            f"property {ply_type} {name}\n" for ply_type, name, _ in props) + "end_header\n"
+        text, binary = tmp_path / "a.ply", tmp_path / "b.ply"
+        text.write_text(header.format("ascii") + "".join(
+            " ".join(repr(v) for v in row) + "\n" for row in rec.tolist()))
+        binary.write_bytes(header.format("binary_little_endian").encode() + rec.tobytes())
+        a, b = load_ply(text), load_ply(binary)
+        assert a.points.tobytes() == b.points.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+        if label:
+            assert np.array_equal(a.labels, rec["label"])
 
     def test_negative_label_names_first_bad_point(self, tmp_path):
         path = tmp_path / "neg.ply"

@@ -104,6 +104,10 @@ class TestGenerateField:
         with pytest.raises(ParameterError, match=message):
             FieldSpec(**bad).validate()
 
+    def test_spec_raises_when_built(self):
+        with pytest.raises(ParameterError, match="grid must be at least 1x1, got 0x10"):
+            FieldSpec(rows=0)
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ParameterError):
             generate_field(FieldSpec(rows=0))
