@@ -2,7 +2,7 @@
 
 Data and JSON reports go to stdout or files; diagnostics go to stderr. The
 exit status is 0 iff no error was reported. ``--threads`` threads only the
-k-NN density query (gdqs, gdqspp) and never changes any output byte.
+k-NN density scan (gdqs, gdqspp) and never changes any output byte.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ def _build_params(algo: str, d: float | None, k: int | None, beta: float | None)
         raise click.UsageError(str(exc)) from None
 
 
-# an absent --threads becomes scipy's "all cores" (-1)
+# an absent --threads becomes -1, one thread per CPU
 _threads_option = click.option(
     "--threads", type=click.IntRange(min=1), callback=lambda ctx, param, value: value or -1,
-    help="threads of the k-NN density query (gdqs, gdqspp) [default: all cores]")
+    help="threads of the k-NN density scan (gdqs, gdqspp); outputs do not depend on it "
+         "[default: one per CPU]")
 
 
 def _write_report(doc: dict, path: str | None) -> None:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
 from .pointcloud import PointCloud, _renumber_first_appearance
-from .spatial import SpatialIndex, _check_d
+from .spatial import _CHUNK_ELEMS, SpatialIndex, _check_d
 
 __all__ = [
     "DensityField", "ParentForest", "CoreSet", "Params",
@@ -238,9 +238,12 @@ def knn_density_2d(cloud: PointCloud, k: int, workers: int = 1,
     """k-NN density in the ground-plane projection (drop z; cloud is gravity
     aligned). Coincident projections get the infinite-density class.
 
-    ``keep_windows`` caches the neighbor windows on the result so a following
-    core extraction reuses this query instead of issuing its own. ``workers``
-    is the query's thread count, the only query that takes one.
+    rho comes from ``SpatialIndex.knn_window``, which scans the 2D points in
+    kD-tree blocks, each against one candidate set, and is exact. ``keep_windows``
+    caches the neighbor windows (each point's k+2 nearest, unordered) on the
+    result, so a following core extraction reuses this scan instead of running
+    its own. ``workers`` threads the scan (-1: one per CPU), the only query
+    that takes threads; the result does not depend on it.
     """
     index2d = SpatialIndex(cloud.points[:, :2])
     rho, idx = index2d.knn_window(k, workers=workers, return_indices=keep_windows)
@@ -293,7 +296,11 @@ def _sweep_edges(density: DensityField):
     link = np.arange(n, dtype=np.int32)
     link[owner[first]] = early[first]
     tree = _resolve_to_fixpoint(link)
-    keep = first | (tree[owner] != tree[early])
+    keep = first
+    for a in range(0, keep.shape[0], _CHUNK_ELEMS):
+        # in slices: the two gathered tree columns would add 8 bytes per edge at the peak
+        part = slice(a, a + _CHUNK_ELEMS)
+        keep[part] |= tree[owner[part]] != tree[early[part]]
     eoff = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner[keep], minlength=n), out=eoff[1:])
     return offsets, flat, eoff, early[keep]
@@ -486,7 +493,7 @@ def _labels_per_params(cloud: PointCloud, runs: Iterable[Params],
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input, parameters, and any ``workers``, which threads
-    only the k-NN density query. ``rain``, ``zqs`` and ``gdqs`` run as a
+    only the k-NN density scan. ``rain``, ``zqs`` and ``gdqs`` run as a
     one-value ``cluster_over_d`` over ``params`` itself."""
     if params.algorithm != "gdqspp":
         return next(_labels_per_params(cloud, [params], workers))

@@ -302,9 +302,8 @@ def save_ply(cloud: PointCloud, labeling: np.ndarray, path, binary: bool = False
             fh.write(header.encode("ascii"))
             fh.write(rec.tobytes())
     else:
-        buf = io.StringIO()
-        np.savetxt(buf, np.column_stack([cloud.points, rgb.astype(np.float64)]),
-                   fmt="%.9g %.9g %.9g %d %d %d")
+        # one %-format per row, as np.savetxt does, without its numpy scalars
+        rows = zip(*cloud.points.T.tolist(), *rgb.T.tolist())
         with open(path, "w", newline="\n") as fh:
             fh.write(header)
-            fh.write(buf.getvalue())
+            fh.write("".join(map("%.9g %.9g %.9g %d %d %d\n".__mod__, rows)))

@@ -11,30 +11,34 @@ rely on:
 * balls are open (``dist < d``);
 * ties anywhere are broken by the smaller original point index.
 
-Per-point k-NN windows (the kk nearest points, self included, with their
-exact squared distances) come from one chunked query loop, the only place the
-index's own tree is queried for more than three neighbors. The
-nearest-below-rank search and the radius lists grow the windows 4x per round
-instead of materializing neighbor balls, resolving each point as soon as its
-window provably contains the answer; windows come back from scipy as arrays,
-which keeps the inner loops vectorized.
+The k-NN radius and the (k+2)-point windows of the density (``knn_window``)
+come from a scan of the kD-tree's blocks: points close in the plane share
+most of their nearest neighbors, so each subtree of at most ``_BLOCK`` points
+fetches one candidate ball that provably holds the nearest neighbors of all
+its points, and the order statistics of the exact squared distances from the
+block to those candidates give rho and the windows, exact with ties and
+duplicates, without a per-point neighbor heap.
 
-The k-NN radius alone (``knn_window`` without indices) skips the windows for
-most points: the tree returns the three neighbors around the k-th, one exact
-squared distance is computed per point, and only points whose tree distances
-do not set the k-th neighbor apart go through the windows. The
-lowest-rank-in-ball search does not use the windows either: it descends a
-hierarchy of kD-trees built per call over blocks of the points in rank order,
-so its cost does not grow with the number of points in a ball, and it runs
-tile by tile over the ground plane, each tile with the points near it, so its
-cost grows linearly with the cloud.
+The nearest-below-rank search and the radius lists grow per-point windows
+(the kk nearest points, self included, with their exact squared distances,
+from one chunked tree query loop) 4x per round instead of materializing
+neighbor balls, resolving each point as soon as its window provably contains
+the answer; windows come back from scipy as arrays, which keeps the inner
+loops vectorized. The lowest-rank-in-ball search does not use windows: it
+descends a hierarchy of kD-trees built per call over blocks of the
+points in rank order, so its cost does not grow with the number of points in
+a ball, and it runs tile by tile over the ground plane, each tile with the
+points near it, so its cost grows linearly with the cloud.
 
 The index is read-only after construction. Only ``knn_window``, one large
-query, takes a thread count (``workers``, forwarded to scipy's parallel query
-dispatch, with no effect on results); every other query runs on one thread.
+scan, takes a thread count (``workers``, threads over groups of blocks, with
+no effect on results); every other query runs on one thread.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -46,6 +50,11 @@ from .errors import DataError, ParameterError
 # mmap threshold, so each is mapped and returned whole instead of coming from
 # a heap whose layout, and so the peak memory, depends on earlier frees
 _CHUNK_ELEMS = 4_400_000
+# knn_window: the kD-tree's subtrees of at most this many points are scanned
+# as blocks, each against one candidate set, and a thread takes _GROUP
+# consecutive blocks at a time
+_BLOCK = 32
+_GROUP = 64
 # argmin_rank_in_ball: rank blocks of this many points are scanned directly,
 # _LEAF_ROWS queries at a time, so the gathered blocks (under 1 MB) are reused
 # from the heap and stay in cache instead of being mapped afresh per tile
@@ -72,8 +81,9 @@ def _check_d(d: float) -> None:
 
 def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """Exact squared distances from point sub[r] to the points idx[r] (a 2D
-    array), from the per-axis coordinate columns ``cols``: the package's one
-    implementation of the squared distance.
+    array) or to the points idx (a 1D array shared by every row), from the
+    per-axis coordinate columns ``cols``: the package's one implementation of
+    the squared distance.
 
     The columns are added in the order in which numpy's ``einsum``, which the
     brute-force oracles use, sums a length-2 or length-3 last axis: x then y
@@ -85,7 +95,7 @@ def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
     for axis in (0, 1) if len(cols) == 2 else (0, 2, 1):
         col = cols[axis]
         t = col[idx]
-        t -= col[sub][:, None]
+        t = np.subtract(t, col[sub][:, None], out=t if t.ndim == 2 else None)
         t *= t
         if d2 is None:
             d2 = t
@@ -171,20 +181,19 @@ class SpatialIndex:
 
     # ---------------------------------------------------------------- helpers
 
-    def _windows(self, members: np.ndarray, kk: int, workers: int = 1,
-                 cached: np.ndarray | None = None):
+    def _windows(self, members: np.ndarray, kk: int, cached: np.ndarray | None = None):
         """Yield (sub, idx, d2) chunks covering ``members``: idx[r] holds the
         kk nearest points of sub[r] (itself included) and d2[r] their exact
         squared distances. ``cached`` supplies the windows (row per point)
-        instead of querying the tree."""
+        instead of querying the tree, and idx keeps their dtype."""
         rows = max(1, _CHUNK_ELEMS // kk)
         for start in range(0, members.shape[0], rows):
             sub = members[start:start + rows]
             if cached is None:
-                _, idx = self._tree.query(self.points[sub], k=kk, workers=workers)
+                _, idx = self._tree.query(self.points[sub], k=kk)
             else:
                 idx = cached[sub]
-            idx = np.atleast_2d(idx).astype(np.int64, copy=False)
+            idx = np.atleast_2d(idx)
             yield sub, idx, _sq_dist_cols(self._cols, idx, sub)
 
     def _expand(self, members: np.ndarray, kk: int, resolve,
@@ -208,41 +217,87 @@ class SpatialIndex:
     # ------------------------------------------------------------- bulk kNN
 
     def knn_window(self, k: int, workers: int = 1, return_indices: bool = False):
-        """Per-point k-NN radius, optionally with the raw neighbor windows.
+        """Per-point k-NN radius, optionally with the neighbor windows.
 
         Returns (rho, idx): rho[i] is the squared distance to the k-th nearest
         other point (the k-th order statistic of the squared-distance multiset
         including self equals the k-th excluding self, so coincident
-        duplicates need no special casing); idx is the (n, min(n, k+2))
-        neighbor-index window when requested, else None.
+        duplicates need no special casing); idx, when requested (else None),
+        is the (n, kq) int32 window of each point's kq = min(n, k+2) nearest
+        points in no particular order, itself among them unless more than kq
+        points share its position.
 
-        Without the window, the tree is asked only for each point's k-th,
-        (k+1)-th and (k+2)-th nearest (counted from 1, self first). When its
-        distances to the k-th and (k+2)-th differ from the middle one by more
-        than the relative ``_BOUND_SLACK``, far above the tree's rounding,
-        exactly k points lie strictly nearer than the middle one and all others
-        strictly farther, so the middle one's exact squared distance is rho[i].
-        Every other point (distance ties, duplicates, rows the tree rounds
-        differently) takes rho from its full window, as do all points when the
-        window is requested or n < k+2.
+        Points close in the plane share most of their nearest neighbors, so
+        the points are scanned in blocks, the subtrees of the kD-tree with at
+        most ``_BLOCK`` points (or a leaf of coincident points). A block lies
+        within br of the centre c of its bounding box; if c's kq-th nearest
+        point lies at R, each block point has kq points within br + R, so its
+        kq nearest lie within 2 br + R of c. The tree returns that ball, grown
+        by the relative ``_BOUND_SLACK``, as the block's candidates, and rho
+        and the window are order statistics of the exact squared distances
+        from the block's points to the candidates, in row chunks of at most
+        ``_CHUNK_ELEMS``. The candidates hold every point within each row's
+        rho, so rho is exact, ties and duplicates included.
+
+        ``workers`` threads (-1: one per CPU) scan groups of ``_GROUP``
+        blocks; every row is written by its own block alone, so the result is
+        the same at any thread count.
         """
         if not 1 <= k <= self.n - 1 or int(k) != k:
             raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {self.n - 1}, got {k}")
+        threads = (os.cpu_count() or 1) if workers == -1 else workers
+        if not 1 <= threads or int(threads) != threads:
+            raise ParameterError(f"workers must be -1 or a positive integer, got {workers}")
         k = int(k)
         kq = min(self.n, k + 2)
+        order = self._tree.indices
+        starts = self._blocks()
+        pts = self.points[order]
+        lo = np.minimum.reduceat(pts, starts[:-1])
+        hi = np.maximum.reduceat(pts, starts[:-1])
+        centre = (lo + hi) / 2
+        dist, _ = self._tree.query(centre, k=[kq], workers=int(threads))
+        radius = (np.hypot.reduce(hi - lo, axis=1) + dist[:, 0]) * _BOUND_SLACK
         rho = np.empty(self.n, dtype=np.float64)
-        rest = np.arange(self.n, dtype=np.int64)
-        if not return_indices and kq == k + 2:
-            dist, idx = self._tree.query(self.points, k=[k, k + 1, k + 2], workers=workers)
-            sep = (dist[:, 0] * _BOUND_SLACK < dist[:, 1]) & (dist[:, 1] * _BOUND_SLACK < dist[:, 2])
-            rho[sep] = _sq_dist_cols(self._cols, idx[sep, 1:2], rest[sep])[:, 0]
-            rest = rest[~sep]
-        all_idx = np.empty((self.n, kq), dtype=np.int32) if return_indices else None
-        for sub, idx, d2 in self._windows(rest, kq, workers):
-            rho[sub] = np.sort(d2, axis=1)[:, k]
-            if return_indices:
-                all_idx[sub] = idx
-        return rho, all_idx
+        win = np.empty((self.n, kq), dtype=np.int32) if return_indices else None
+
+        def scan(group):
+            balls = self._tree.query_ball_point(centre[group], radius[group], return_sorted=False)
+            for b, ball in zip(group, balls):
+                cand = np.fromiter(ball, dtype=np.intp, count=len(ball))
+                rows = order[starts[b]:starts[b + 1]]
+                step = max(1, _CHUNK_ELEMS // cand.size)
+                for first in range(0, rows.size, step):
+                    sub = rows[first:first + step]
+                    d2 = _sq_dist_cols(self._cols, cand, sub)
+                    if return_indices:
+                        near = np.argpartition(d2, kq - 1, axis=1)[:, :kq]
+                        win[sub] = cand[near]
+                        d2 = np.take_along_axis(d2, near, axis=1)
+                    d2.partition(k, axis=1)
+                    rho[sub] = d2[:, k]
+
+        nb = starts.size - 1
+        groups = np.array_split(np.arange(nb), -(-nb // _GROUP))
+        with ThreadPoolExecutor(min(int(threads), len(groups))) as pool:
+            for _ in pool.map(scan, groups):
+                pass  # reading each result re-raises a worker's error
+        return rho, win
+
+    def _blocks(self) -> np.ndarray:
+        """Start offsets into the tree's point order of the blocks of
+        ``knn_window``, ascending and followed by n: the largest subtrees of
+        at most ``_BLOCK`` points, and leaves of more (all coincident)."""
+        starts = []
+        stack = [self._tree.tree]
+        while stack:
+            node = stack.pop()
+            if node.children <= _BLOCK or node.lesser is None:
+                starts.append(node.start_idx)
+            else:
+                stack += (node.greater, node.lesser)
+        starts.append(self.n)
+        return np.array(starts, dtype=np.int64)
 
     def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray,
                               knn_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,7 +320,7 @@ class SpatialIndex:
             keep = (d2 <= rho[sub][:, None]) & (rank[idx] < rank[sub][:, None]) & done[:, None]
             counts[sub[done]] = keep.sum(axis=1)[done]
             nbr = idx[keep]
-            pieces.append((sub[done], nbr.astype(np.int32), d2[keep] <= rho[nbr]))
+            pieces.append((sub[done], nbr.astype(np.int32, copy=False), d2[keep] <= rho[nbr]))
             return done
 
         self._expand(np.arange(n, dtype=np.int64), knn_idx.shape[1], resolve, cached=knn_idx)

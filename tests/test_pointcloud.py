@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +126,27 @@ class TestPlyRoundTrip:
         save_ply(cloud, labels, p1, binary=binary)
         save_ply(cloud, labels, p2, binary=binary)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ascii_body_equals_savetxt(self, tmp_path, seed):
+        # extreme exponents, signed zeros, and every byte 0-255 in each
+        # color channel, against the numpy writer the ascii body replaced
+        rng = np.random.default_rng(seed)
+        n = 512
+        pts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-310, 306, size=(n, 3))
+        pts[rng.random((n, 3)) < 0.05] = -0.0
+        pts[rng.random((n, 3)) < 0.05] = 0.0
+        rgb = np.stack([rng.permutation(256), rng.permutation(256), np.arange(256)], axis=1)
+        labels = labels_for_colors(np.concatenate([rgb, rgb[::-1]]).astype(np.uint8))
+        path = tmp_path / "c.ply"
+        save_ply(PointCloud(pts), labels, path)
+        want = io.StringIO()
+        np.savetxt(want, np.column_stack([pts, colors_for_labels(labels).astype(np.float64)]),
+                   fmt="%.9g %.9g %.9g %d %d %d")
+        assert np.array_equal(colors_for_labels(labels)[:256], rgb)
+        body = path.read_bytes().split(b"end_header\n", 1)[1]
+        assert body == want.getvalue().encode("ascii")
+        assert b"-0 " in body
 
     def test_labeling_length_mismatch(self, tmp_path):
         with pytest.raises(DataError, match="labeling length"):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,7 @@ class TestKthNeighborDistance:
     def test_tree_rounding_disagrees_at_kth(self):
         # points 1 and 2 lie at the same tree distance from point 0, which
         # returns point 1 second although its exact squared distance is the
-        # larger: its k = 1 radius must come from the full window
+        # larger: its k = 1 radius must follow the exact squared distances
         pts, _ = far_line_cloud([0.661, 0.204, 0.564], [0.661, 0.564, 0.204])
         idx = SpatialIndex(pts)
         D2 = sq_dist_matrix(pts)
@@ -200,6 +202,99 @@ class TestKthNeighborDistance:
             assert rho.tolist() == [brute_kth_sq(D2, i, k) for i in range(n)]
 
 
+def check_knn_window(pts, ks):
+    """rho and the window, with and without indices, against the dense matrix."""
+    idx = SpatialIndex(pts)
+    D2 = sq_dist_matrix(pts)
+    n = len(pts)
+    for k in ks:
+        kq = min(n, k + 2)
+        rho, _ = idx.knn_window(k)
+        rho_w, win = idx.knn_window(k, return_indices=True)
+        assert rho.tolist() == rho_w.tolist() == [brute_kth_sq(D2, i, k) for i in range(n)]
+        assert win.dtype == np.int32 and win.shape == (n, kq)
+        assert (np.diff(np.sort(win, axis=1), axis=1) > 0).all()
+        win_d2 = np.sort(np.take_along_axis(D2, win.astype(np.int64), axis=1), axis=1)
+        assert np.array_equal(win_d2, np.sort(D2, axis=1)[:, :kq])
+
+
+class TestBlockScan:
+    """knn_window on clouds that stress its blocks and candidate balls."""
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_all_points_coincident(self, dims):
+        # one leaf of 100 coincident points, beyond the block size
+        check_knn_window(np.full((100, dims), 0.3), (1, 5, 98, 99))
+
+    def test_near_coincident_blocks_far_apart(self):
+        # clusters of 40 points within 1e-9 of their centre, centres 1e3
+        # apart: the k-th neighbor of most points lies in another cluster
+        rng = np.random.default_rng(50)
+        centres = np.repeat(np.arange(5)[:, None] * [1e3, 0.5e3], 40, axis=0)
+        pts = centres + rng.uniform(-1e-9, 1e-9, size=centres.shape)
+        check_knn_window(pts, (1, 20, 39, 40, 41, 79, 80, 150, 199))
+
+    def test_block_straddles_two_clusters(self):
+        # 40 points near the origin and 8 near (1e4, 1e4): the tree cuts 48
+        # points into halves of 24, so one block holds points of both
+        rng = np.random.default_rng(51)
+        pts = np.concatenate([rng.normal(0.0, 1e-3, size=(40, 2)),
+                              1e4 + rng.normal(0.0, 1e-3, size=(8, 2))])
+        idx = SpatialIndex(pts)
+        starts = idx._blocks()
+        blocks = np.split(idx._tree.indices, starts[1:-1])
+        assert any((b < 40).any() and (b >= 40).any() for b in blocks)
+        check_knn_window(pts, (1, 6, 7, 8, 9, 23, 39, 40, 46, 47))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_extreme_magnitudes(self, scale, dims):
+        check_knn_window(make_cloud(52, 300, dims=dims) * scale, (1, 7, 64, 298, 299))
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_fewer_points_than_a_block(self, dims):
+        pts = make_cloud(53, 20, dims=dims)
+        assert SpatialIndex(pts)._blocks().tolist() == [0, 20]
+        check_knn_window(pts, range(1, 20))
+
+    def test_lattice_ties_in_3d(self):
+        rng = np.random.default_rng(54)
+        sites = rng.integers(0, [6, 6, 4], size=(300, 3))
+        pts = np.concatenate([sites, sites[rng.integers(0, 300, size=60)]]).astype(np.float64)
+        check_knn_window(pts, (1, 6, 26, 100, 358, 359))
+
+    def test_same_result_at_any_thread_count(self, monkeypatch):
+        # blocks of 32 in groups of 2: the 600 points make about 10 groups
+        monkeypatch.setattr(spatial, "_GROUP", 2)
+        pts = make_cloud_with_stems(55, 6, 30, extra=420)[:, :2]
+        idx = SpatialIndex(pts)
+        assert idx._blocks().size - 1 >= 19
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        try:
+            for k in (3, 40):
+                rho, win = idx.knn_window(k, workers=1, return_indices=True)
+                for workers in (2, 3):
+                    rho_t, win_t = idx.knn_window(k, workers=workers, return_indices=True)
+                    assert rho_t.tobytes() == rho.tobytes()
+                    assert np.array_equal(win_t, win)
+                    assert idx.knn_window(k, workers=workers)[0].tobytes() == rho.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_workers_checked(self):
+        idx = SpatialIndex(make_cloud(56, 50))
+        for workers in (0, -2, 1.5):
+            with pytest.raises(ParameterError, match="workers"):
+                idx.knn_window(3, workers=workers)
+
+    def test_row_chunks_split_a_block(self, monkeypatch):
+        # a matrix budget below one block's rows times its candidates
+        monkeypatch.setattr(spatial, "_CHUNK_ELEMS", 100)
+        pts = make_cloud(57, 200, dims=2)
+        check_knn_window(pts, (1, 16, 60))
+
+
 class TestColumnSquaredDistance:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_einsum_bit_for_bit(self, dim):
@@ -215,9 +310,12 @@ class TestColumnSquaredDistance:
         idx = np.arange(len(diff)).reshape(1000, -1)
         with np.errstate(over="ignore"):
             got = spatial._sq_dist_cols(cols, idx, np.full(1000, len(diff)))
+            # one candidate row shared by the query rows, as knn_window asks
+            shared = spatial._sq_dist_cols(cols, idx.ravel(), np.array([len(diff)]))
             want = np.einsum("...i,...i->...", diff, diff).reshape(1000, -1)
             naive = (diff * diff).cumsum(axis=1)[:, -1].reshape(1000, -1)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(shared.view(np.uint64), want.reshape(1, -1).view(np.uint64))
         if dim == 3:
             # the data tells summation orders apart
             assert not np.array_equal(want, naive)
