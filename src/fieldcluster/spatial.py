@@ -185,7 +185,7 @@ class SpatialIndex:
         """Yield (sub, idx, d2) chunks covering ``members``: idx[r] holds the
         kk nearest points of sub[r] (itself included) and d2[r] their exact
         squared distances. ``cached`` supplies the windows (row per point)
-        instead of querying the tree, and idx keeps their dtype."""
+        instead of querying the tree."""
         rows = max(1, _CHUNK_ELEMS // kk)
         for start in range(0, members.shape[0], rows):
             sub = members[start:start + rows]
@@ -193,7 +193,7 @@ class SpatialIndex:
                 _, idx = self._tree.query(self.points[sub], k=kk)
             else:
                 idx = cached[sub]
-            idx = np.atleast_2d(idx)
+            idx = np.atleast_2d(idx).astype(np.int64, copy=False)
             yield sub, idx, _sq_dist_cols(self._cols, idx, sub)
 
     def _expand(self, members: np.ndarray, kk: int, resolve,
@@ -320,7 +320,7 @@ class SpatialIndex:
             keep = (d2 <= rho[sub][:, None]) & (rank[idx] < rank[sub][:, None]) & done[:, None]
             counts[sub[done]] = keep.sum(axis=1)[done]
             nbr = idx[keep]
-            pieces.append((sub[done], nbr.astype(np.int32, copy=False), d2[keep] <= rho[nbr]))
+            pieces.append((sub[done], nbr.astype(np.int32), d2[keep] <= rho[nbr]))
             return done
 
         self._expand(np.arange(n, dtype=np.int64), knn_idx.shape[1], resolve, cached=knn_idx)
