@@ -55,7 +55,8 @@ class DensityField:
     projections). ``sweep_rank`` is the strict total order (denser first,
     index breaks ties); ``parent_rank`` is the value-strict order key used for
     quickshift parenting: rho itself, so equal finite densities tie, with the
-    infinite class keyed by index below every finite rho.
+    infinite class keyed by index below every finite rho. ``knn_idx`` may hold
+    the neighbor windows of ``SpatialIndex.knn_window``; no algorithm reads it.
     """
 
     rho: np.ndarray
@@ -233,21 +234,18 @@ def zqs_parents(cloud: PointCloud, d: float, *,
     return ParentForest(_quickshift_parents(nb))
 
 
-def knn_density_2d(cloud: PointCloud, k: int, workers: int = 1,
-                   keep_windows: bool = False) -> DensityField:
+def knn_density_2d(cloud: PointCloud, k: int, workers: int = 1) -> DensityField:
     """k-NN density in the ground-plane projection (drop z; cloud is gravity
     aligned). Coincident projections get the infinite-density class.
 
     rho comes from ``SpatialIndex.knn_window``, which scans the 2D points in
-    kD-tree blocks, each against one candidate set, and is exact. ``keep_windows``
-    caches the neighbor windows (each point's k+2 nearest, unordered) on the
-    result, so a following core extraction reuses this scan instead of running
-    its own. ``workers`` threads the scan (-1: one per CPU), the only query
-    that takes threads; the result does not depend on it.
+    kD-tree blocks, each against one candidate set, and is exact; no neighbor
+    windows are kept. ``workers`` threads the scan (-1: one per CPU); the
+    result does not depend on it.
     """
     index2d = SpatialIndex(cloud.points[:, :2])
-    rho, idx = index2d.knn_window(k, workers=workers, return_indices=keep_windows)
-    return DensityField(rho=rho, k=int(k), index2d=index2d, knn_idx=idx)
+    rho, _ = index2d.knn_window(k, workers=workers)
+    return DensityField(rho=rho, k=int(k), index2d=index2d)
 
 
 def gdqs_parents(cloud: PointCloud, d: float, density: DensityField) -> ParentForest:
@@ -263,7 +261,7 @@ def gdqs_parents(cloud: PointCloud, d: float, density: DensityField) -> ParentFo
     return ParentForest(_quickshift_parents(nb))
 
 
-def _sweep_edges(density: DensityField):
+def _sweep_edges(density: DensityField, workers: int):
     """Earlier-neighbor lists within each point's own k-NN radius, and the
     mutual edges the core sweep merges along, grouped by owner.
 
@@ -275,8 +273,11 @@ def _sweep_edges(density: DensityField):
     the swept part of every link tree is connected through links at every
     step; a mutual edge inside one tree never joins two components and is
     dropped. Links and tree-crossing edges span the same components as all
-    mutual edges for every sweep prefix. A density built without
-    ``keep_windows`` has its windows queried again here, on one thread.
+    mutual edges for every sweep prefix. The lists come from a block scan of
+    the 2D index (``SpatialIndex.directed_radius_lists``), threaded by
+    ``workers``; the order of the entries within a row, and so which mutual
+    entry is first, is the scan's, and the merged components do not depend on
+    it.
 
     Returns ``(offsets, flat, eoff, early)``: the earlier-neighbor lists as
     CSR, and the kept edges of owner i as ``early[eoff[i]:eoff[i + 1]]``.
@@ -284,11 +285,8 @@ def _sweep_edges(density: DensityField):
     n = density.n
     if n >= 1 << 31:
         raise DataError("clouds beyond 2^31 points are not supported")
-    knn_idx = density.knn_idx
-    if knn_idx is None:
-        _, knn_idx = density.index2d.knn_window(density.k, return_indices=True)
     offsets, flat, mutual = density.index2d.directed_radius_lists(
-        density.rho, density.sweep_rank, knn_idx)
+        density.rho, density.sweep_rank, workers=workers)
     owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))[mutual]
     early = flat[mutual]
     first = np.ones(owner.shape[0], dtype=bool)
@@ -306,7 +304,8 @@ def _sweep_edges(density: DensityField):
     return offsets, flat, eoff, early[keep]
 
 
-def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float) -> CoreSet:
+def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float, *,
+                  workers: int = 1) -> CoreSet:
     """Find the dense 2D regions that seed quickshift++ clusters.
 
     Sweeps points in decreasing density order over the mutual k-NN graph,
@@ -322,7 +321,9 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float)
     The merges run along link-tree edges (see ``_sweep_edges``), which span
     the same components as all mutual edges after every step. Every edge
     firing at a step touches that step's point, so the merged sets, modes and
-    lock states do not depend on which spanning edges are used.
+    lock states do not depend on which spanning edges are used, nor on the
+    order of the entries within a row. ``workers`` threads the scan that
+    builds the lists (-1: one per CPU); the result does not depend on it.
 
     Locking needs no heap: a pointer ``due`` walks the sweep order behind the
     current step. The lock threshold (1 - beta) * density never rises along
@@ -348,7 +349,7 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float)
     if n == 0:
         return CoreSet((), np.empty(0, np.int64), 0)
 
-    offsets, targets, eoff, early = _sweep_edges(density)
+    offsets, targets, eoff, early = _sweep_edges(density, workers)
     parent = list(range(n))
     members = [[x] for x in range(n)]
     locked = [False] * n
@@ -493,7 +494,8 @@ def _labels_per_params(cloud: PointCloud, runs: Iterable[Params],
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input, parameters, and any ``workers``, which threads
-    only the k-NN density scan. ``rain``, ``zqs`` and ``gdqs`` run as a
+    only the block scans of the 2D index: the k-NN density and the ``gdqspp``
+    radius lists. ``rain``, ``zqs`` and ``gdqs`` run as a
     one-value ``cluster_over_d`` over ``params`` itself."""
     if params.algorithm != "gdqspp":
         return next(_labels_per_params(cloud, [params], workers))
@@ -501,6 +503,6 @@ def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.int64)
     _need_two_points(params.algorithm, n)
-    density = knn_density_2d(cloud, params.k, workers=workers, keep_windows=True)
-    cores = extract_cores(cloud, density, params.k, params.beta)
+    density = knn_density_2d(cloud, params.k, workers=workers)
+    cores = extract_cores(cloud, density, params.k, params.beta, workers=workers)
     return gdqspp_assign(cloud, density, cores)

@@ -12,27 +12,29 @@ rely on:
 * ties anywhere are broken by the smaller original point index.
 
 The k-NN radius and the (k+2)-point windows of the density (``knn_window``)
-come from a scan of the kD-tree's blocks: points close in the plane share
-most of their nearest neighbors, so each subtree of at most ``_BLOCK`` points
-fetches one candidate ball that provably holds the nearest neighbors of all
-its points, and the order statistics of the exact squared distances from the
-block to those candidates give rho and the windows, exact with ties and
-duplicates, without a per-point neighbor heap.
+and the radius lists of the quickshift++ core sweep
+(``directed_radius_lists``) come from one scan of the kD-tree's blocks
+(``_block_scan``): points close in the plane share most of their neighbors,
+so each subtree of a few dozen points fetches one candidate ball that
+provably holds the points each of its rows needs, and each query reads its
+answer off the exact squared distances from the block to those candidates:
+rho and the windows as order statistics, the lists as a filter. Both are
+exact with ties and duplicates, without a per-point neighbor heap.
 
-The nearest-below-rank search and the radius lists grow per-point windows
-(the kk nearest points, self included, with their exact squared distances,
-from one chunked tree query loop) 4x per round instead of materializing
-neighbor balls, resolving each point as soon as its window provably contains
-the answer; windows come back from scipy as arrays, which keeps the inner
-loops vectorized. The lowest-rank-in-ball search does not use windows: it
+The nearest-below-rank search grows per-point windows (the kk nearest
+points, self included, with their exact squared distances, from one chunked
+tree query loop) 4x per round instead of materializing neighbor balls,
+resolving each point as soon as its window provably contains the answer;
+windows come back from scipy as arrays, which keeps the inner loops
+vectorized. The lowest-rank-in-ball search does not use windows: it
 descends a hierarchy of kD-trees built per call over blocks of the
 points in rank order, so its cost does not grow with the number of points in
 a ball, and it runs tile by tile over the ground plane, each tile with the
 points near it, so its cost grows linearly with the cloud.
 
-The index is read-only after construction. Only ``knn_window``, one large
-scan, takes a thread count (``workers``, threads over groups of blocks, with
-no effect on results); every other query runs on one thread.
+The index is read-only after construction. Only the two block scans take a
+thread count (``workers``, threads over groups of blocks, with no effect on
+results); every other query runs on one thread.
 """
 
 from __future__ import annotations
@@ -50,10 +52,15 @@ from .errors import DataError, ParameterError
 # mmap threshold, so each is mapped and returned whole instead of coming from
 # a heap whose layout, and so the peak memory, depends on earlier frees
 _CHUNK_ELEMS = 4_400_000
-# knn_window: the kD-tree's subtrees of at most this many points are scanned
-# as blocks, each against one candidate set, and a thread takes _GROUP
-# consecutive blocks at a time
+# _block_scan: the kD-tree's subtrees of at most _BLOCK points (knn_window) or
+# _LIST_BLOCK points (directed_radius_lists) are scanned as blocks, each
+# against one candidate set, and a thread takes _GROUP consecutive blocks at a
+# time. The lists' ball reaches one block radius past the rows, the density's
+# two, and the lists partition nothing, so the per-block calls weigh more
+# there: blocks of 64 made the lists 20-30 % faster than blocks of 32 on the
+# reference field at k = 64, 500 and 1200
 _BLOCK = 32
+_LIST_BLOCK = 64
 _GROUP = 64
 # argmin_rank_in_ball: rank blocks of this many points are scanned directly,
 # _LEAF_ROWS queries at a time, so the gathered blocks (under 1 MB) are reused
@@ -77,6 +84,14 @@ def _check_d(d: float) -> None:
     package's one check of d."""
     if not (d > 0 and d * d > 0):
         raise ParameterError(f"d must be positive and d*d must not underflow to 0, got {d}")
+
+
+def _threads(workers: int) -> int:
+    """The thread count of a block scan: ``workers``, or one per CPU for -1."""
+    threads = (os.cpu_count() or 1) if workers == -1 else workers
+    if not 1 <= threads or int(threads) != threads:
+        raise ParameterError(f"workers must be -1 or a positive integer, got {workers}")
+    return int(threads)
 
 
 def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -181,25 +196,19 @@ class SpatialIndex:
 
     # ---------------------------------------------------------------- helpers
 
-    def _windows(self, members: np.ndarray, kk: int, cached: np.ndarray | None = None):
+    def _windows(self, members: np.ndarray, kk: int):
         """Yield (sub, idx, d2) chunks covering ``members``: idx[r] holds the
         kk nearest points of sub[r] (itself included) and d2[r] their exact
-        squared distances. ``cached`` supplies the windows (row per point)
-        instead of querying the tree."""
+        squared distances."""
         rows = max(1, _CHUNK_ELEMS // kk)
         for start in range(0, members.shape[0], rows):
             sub = members[start:start + rows]
-            if cached is None:
-                _, idx = self._tree.query(self.points[sub], k=kk)
-            else:
-                idx = cached[sub]
+            _, idx = self._tree.query(self.points[sub], k=kk)
             idx = np.atleast_2d(idx).astype(np.int64, copy=False)
             yield sub, idx, _sq_dist_cols(self._cols, idx, sub)
 
-    def _expand(self, members: np.ndarray, kk: int, resolve,
-                cached: np.ndarray | None = None) -> None:
-        """Grow the windows of unresolved members 4x per round, starting at kk;
-        ``cached`` windows (kk wide), when given, serve the first round.
+    def _expand(self, members: np.ndarray, kk: int, resolve) -> None:
+        """Grow the windows of unresolved members 4x per round, starting at kk.
 
         ``resolve(sub, idx, d2, exhausted)`` records the answers a chunk's
         windows settle and returns the mask of settled rows; ``exhausted``
@@ -209,10 +218,74 @@ class SpatialIndex:
         while active.size:
             kk = min(kk, self.n)
             done = [resolve(sub, idx, d2, kk >= self.n)
-                    for sub, idx, d2 in self._windows(active, kk, cached=cached)]
+                    for sub, idx, d2 in self._windows(active, kk)]
             active = active[~np.concatenate(done)]
             kk *= 4
-            cached = None
+
+    def _blocks(self, size: int = _BLOCK) -> np.ndarray:
+        """Start offsets into the tree's point order of the blocks of
+        ``_block_scan``, ascending and followed by n: the largest subtrees of
+        at most ``size`` points, and leaves of more (all coincident)."""
+        starts = []
+        stack = [self._tree.tree]
+        while stack:
+            node = stack.pop()
+            if node.children <= size or node.lesser is None:
+                starts.append(node.start_idx)
+            else:
+                stack += (node.greater, node.lesser)
+        starts.append(self.n)
+        return np.array(starts, dtype=np.int64)
+
+    def _block_scan(self, size: int, reach, step, threads: int) -> None:
+        """Scan the points in blocks, each against one candidate set.
+
+        Points close in the plane share most of their neighbors, so the
+        blocks are the subtrees of the kD-tree with at most ``size`` points
+        (or a leaf of coincident points, see ``_blocks``). ``reach(centre,
+        far, block_max)`` gives each block's candidate radius from the centres
+        of the blocks' bounding boxes and the distance ``far`` from each centre
+        to its farthest block point; ``block_max(values)`` is the per-block
+        maximum of a value per point. The tree returns each block's ball, one
+        ``query_ball_point`` per ``_GROUP`` blocks, and ``step(sub, cand, d2)``
+        gets the exact squared distances d2[r] from point sub[r] to the
+        candidates, in row chunks of at most ``_CHUNK_ELEMS`` elements.
+
+        ``threads`` threads scan the groups. A step writes only the rows of
+        its own chunk, or keeps per-chunk results whose order does not
+        matter, so the result is the same at any thread count.
+        """
+        if self.n == 0:
+            return
+        order = self._tree.indices
+        starts = self._blocks(size)
+        first = starts[:-1]
+        pts = self.points[order]
+        lo = np.minimum.reduceat(pts, first)
+        hi = np.maximum.reduceat(pts, first)
+        centre = (lo + hi) / 2
+        # measured from the rounded centre, so the balls need no margin for it
+        pts -= np.repeat(centre, np.diff(starts), axis=0)
+        far = np.maximum.reduceat(np.hypot.reduce(pts, axis=1), first)
+        del pts
+        radius = reach(centre, far, lambda values: np.maximum.reduceat(values[order], first))
+
+        def scan(group):
+            balls = self._tree.query_ball_point(centre[group], radius[group], return_sorted=False)
+            for b, ball in zip(group, balls):
+                cand = np.fromiter(ball, dtype=np.intp, count=len(ball))
+                rows = order[starts[b]:starts[b + 1]]
+                chunk = max(1, _CHUNK_ELEMS // cand.size)
+                for lo_row in range(0, rows.size, chunk):
+                    sub = rows[lo_row:lo_row + chunk]
+                    d2 = _sq_dist_cols(self._cols, cand, sub)
+                    step(sub, cand, d2)
+
+        nb = first.size
+        groups = np.array_split(np.arange(nb), -(-nb // _GROUP))
+        with ThreadPoolExecutor(min(threads, len(groups))) as pool:
+            for _ in pool.map(scan, groups):
+                pass  # reading each result re-raises a worker's error
 
     # ------------------------------------------------------------- bulk kNN
 
@@ -227,103 +300,76 @@ class SpatialIndex:
         points in no particular order, itself among them unless more than kq
         points share its position.
 
-        Points close in the plane share most of their nearest neighbors, so
-        the points are scanned in blocks, the subtrees of the kD-tree with at
-        most ``_BLOCK`` points (or a leaf of coincident points). A block lies
-        within br of the centre c of its bounding box; if c's kq-th nearest
-        point lies at R, each block point has kq points within br + R, so its
-        kq nearest lie within 2 br + R of c. The tree returns that ball, grown
-        by the relative ``_BOUND_SLACK``, as the block's candidates, and rho
-        and the window are order statistics of the exact squared distances
-        from the block's points to the candidates, in row chunks of at most
-        ``_CHUNK_ELEMS``. The candidates hold every point within each row's
-        rho, so rho is exact, ties and duplicates included.
+        A block scan (``_block_scan``): each block point lies within far of
+        the centre c of the block's bounding box; if c's kq-th nearest point
+        lies at R, each block point has kq points within far + R, so its kq
+        nearest lie within 2 far + R of c. That ball, grown by the relative
+        ``_BOUND_SLACK``, is the block's candidate set, and rho and the window
+        are order statistics of the exact squared distances from the block's
+        points to the candidates. The candidates hold every point within each
+        row's rho, so rho is exact, ties and duplicates included.
 
-        ``workers`` threads (-1: one per CPU) scan groups of ``_GROUP``
-        blocks; every row is written by its own block alone, so the result is
-        the same at any thread count.
+        ``workers`` threads (-1: one per CPU) scan groups of blocks; the
+        result is the same at any thread count.
         """
         if not 1 <= k <= self.n - 1 or int(k) != k:
             raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {self.n - 1}, got {k}")
-        threads = (os.cpu_count() or 1) if workers == -1 else workers
-        if not 1 <= threads or int(threads) != threads:
-            raise ParameterError(f"workers must be -1 or a positive integer, got {workers}")
+        threads = _threads(workers)
         k = int(k)
         kq = min(self.n, k + 2)
-        order = self._tree.indices
-        starts = self._blocks()
-        pts = self.points[order]
-        lo = np.minimum.reduceat(pts, starts[:-1])
-        hi = np.maximum.reduceat(pts, starts[:-1])
-        centre = (lo + hi) / 2
-        dist, _ = self._tree.query(centre, k=[kq], workers=int(threads))
-        radius = (np.hypot.reduce(hi - lo, axis=1) + dist[:, 0]) * _BOUND_SLACK
         rho = np.empty(self.n, dtype=np.float64)
         win = np.empty((self.n, kq), dtype=np.int32) if return_indices else None
 
-        def scan(group):
-            balls = self._tree.query_ball_point(centre[group], radius[group], return_sorted=False)
-            for b, ball in zip(group, balls):
-                cand = np.fromiter(ball, dtype=np.intp, count=len(ball))
-                rows = order[starts[b]:starts[b + 1]]
-                step = max(1, _CHUNK_ELEMS // cand.size)
-                for first in range(0, rows.size, step):
-                    sub = rows[first:first + step]
-                    d2 = _sq_dist_cols(self._cols, cand, sub)
-                    if return_indices:
-                        near = np.argpartition(d2, kq - 1, axis=1)[:, :kq]
-                        win[sub] = cand[near]
-                        d2 = np.take_along_axis(d2, near, axis=1)
-                    d2.partition(k, axis=1)
-                    rho[sub] = d2[:, k]
+        def reach(centre, far, block_max):
+            dist, _ = self._tree.query(centre, k=[kq], workers=threads)
+            return (2 * far + dist[:, 0]) * _BOUND_SLACK
 
-        nb = starts.size - 1
-        groups = np.array_split(np.arange(nb), -(-nb // _GROUP))
-        with ThreadPoolExecutor(min(int(threads), len(groups))) as pool:
-            for _ in pool.map(scan, groups):
-                pass  # reading each result re-raises a worker's error
+        def step(sub, cand, d2):
+            if return_indices:
+                near = np.argpartition(d2, kq - 1, axis=1)[:, :kq]
+                win[sub] = cand[near]
+                d2 = np.take_along_axis(d2, near, axis=1)
+            d2.partition(k, axis=1)
+            rho[sub] = d2[:, k]
+
+        self._block_scan(_BLOCK, reach, step, threads)
         return rho, win
 
-    def _blocks(self) -> np.ndarray:
-        """Start offsets into the tree's point order of the blocks of
-        ``knn_window``, ascending and followed by n: the largest subtrees of
-        at most ``_BLOCK`` points, and leaves of more (all coincident)."""
-        starts = []
-        stack = [self._tree.tree]
-        while stack:
-            node = stack.pop()
-            if node.children <= _BLOCK or node.lesser is None:
-                starts.append(node.start_idx)
-            else:
-                stack += (node.greater, node.lesser)
-        starts.append(self.n)
-        return np.array(starts, dtype=np.int64)
-
-    def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray,
-                              knn_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray, *,
+                              workers: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR lists of the earlier neighbors within each point's own radius,
         {j : rank[j] < rank[i], dist^2(i, j) <= rho[i]}, with the mutual ones
         (dist^2(i, j) <= rho[j] as well) marked.
 
-        Filters the provided k-NN windows; a row whose window max does not
-        exceed rho[i] may cut a tie group at exactly rho[i] and regrows until
-        its window reaches past rho[i]. Returns (offsets, flat, mutual): int32
-        neighbor indices and a bool mask over them.
+        A block scan (``_block_scan``): each block point i lies within far of
+        the centre c of the block's bounding box, so every point within
+        sqrt(rho[i]) of i lies within far + max sqrt(rho) over the block of
+        c. That ball, grown by the relative ``_BOUND_SLACK``, is the block's
+        candidate set; it holds every tie at exactly rho[i], and it is never
+        wider than ``knn_window``'s ball. Entries are filtered from the exact
+        squared distances of a row chunk to the candidates, and each row's run
+        is scattered to its CSR slot. Returns (offsets, flat, mutual): int32
+        neighbor indices in no particular order within a row, and a bool mask
+        over them. ``workers`` threads (-1: one per CPU) scan groups of
+        blocks; the result is the same at any thread count.
         """
+        threads = _threads(workers)
         n = self.n
         counts = np.zeros(n, dtype=np.int64)
         pieces = []
+        root = np.sqrt(rho)
 
-        def resolve(sub, idx, d2, exhausted):
-            # a window reaching past rho holds every point within rho
-            done = (d2.max(axis=1) > rho[sub]) | exhausted
-            keep = (d2 <= rho[sub][:, None]) & (rank[idx] < rank[sub][:, None]) & done[:, None]
-            counts[sub[done]] = keep.sum(axis=1)[done]
-            nbr = idx[keep]
-            pieces.append((sub[done], nbr.astype(np.int32), d2[keep] <= rho[nbr]))
-            return done
+        def reach(centre, far, block_max):
+            return (far + block_max(root)) * _BOUND_SLACK
 
-        self._expand(np.arange(n, dtype=np.int64), knn_idx.shape[1], resolve, cached=knn_idx)
+        def step(sub, cand, d2):
+            keep = d2 <= rho[sub][:, None]
+            keep &= rank[cand] < rank[sub][:, None]
+            counts[sub] = np.count_nonzero(keep, axis=1)
+            nbr = np.broadcast_to(cand, keep.shape)[keep]
+            pieces.append((sub, nbr.astype(np.int32), d2[keep] <= rho[nbr]))
+
+        self._block_scan(_LIST_BLOCK, reach, step, threads)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         flat = np.empty(offsets[-1], dtype=np.int32)

@@ -23,7 +23,7 @@ class BruteIndex:
             idx = np.argsort(self._d2, axis=1, kind="stable")[:, :kq].astype(np.int32)
         return rho, idx
 
-    def directed_radius_lists(self, rho, rank, knn_idx):
+    def directed_radius_lists(self, rho, rank, *, workers=1):
         mask = (self._d2 <= rho[:, None]) & (rank[None, :] < rank[:, None])
         owners, flat = np.nonzero(mask)
         offsets = np.zeros(self.n + 1, dtype=np.int64)

@@ -23,7 +23,7 @@ from fieldcluster import (
     zqs_parents,
 )
 from fieldcluster.cluster import DensityField, ParentForest, _resolve_to_fixpoint
-from conftest import make_cloud
+from conftest import make_cloud, make_cloud_with_stems
 
 
 STEM = PointCloud(np.array([[0.0, 0, 0], [0, 0, 0.5], [0, 0, 1.0]]))
@@ -227,6 +227,30 @@ class TestExtractCores:
             assert not seen[members].any()
             seen[members] = True
             assert dens.sweep_rank[mode] == dens.sweep_rank[members].min()
+
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_cores_independent_of_entry_order_within_rows(self, monkeypatch, beta):
+        # the radius lists come in the scan's order within a row; the link
+        # trees follow each row's first mutual entry, the cores must not
+        cloud = PointCloud(make_cloud_with_stems(24, 6, 20, extra=400))
+        dens = knn_density_2d(cloud, 8)
+        want = extract_cores(cloud, dens, 8, beta)
+        lists = SpatialIndex.directed_radius_lists
+        rng = np.random.default_rng(25)
+
+        def shuffled(self, rho, rank, *, workers=1):
+            offsets, flat, mutual = lists(self, rho, rank, workers=workers)
+            row = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+            perm = np.lexsort((rng.random(flat.size), row))
+            assert not np.array_equal(flat[perm], flat)
+            return offsets, flat[perm], mutual[perm]
+
+        monkeypatch.setattr(SpatialIndex, "directed_radius_lists", shuffled)
+        for _ in range(5):
+            got = extract_cores(cloud, dens, 8, beta)
+            assert [c.tolist() for c in got.cores] == [c.tolist() for c in want.cores]
+            assert got.mode_indices.tolist() == want.mode_indices.tolist()
 
 
 class TestGdqsppAssign:

@@ -66,7 +66,7 @@ def test_gdqs_matches_oracle(pts, d, k):
 @pytest.mark.parametrize("k,beta", [(4, 0.3), (8, 0.0), (6, 1.0), (5, 0.7)])
 def test_cores_match_oracle(pts, k, beta):
     cloud = PointCloud(pts)
-    dens = knn_density_2d(cloud, k, keep_windows=True)
+    dens = knn_density_2d(cloud, k)
     cores = extract_cores(cloud, dens, k, beta)
     want_cores, want_modes = slow_extract_cores(pts, k, beta)
     assert [tuple(c.tolist()) for c in cores.cores] == want_cores

@@ -203,7 +203,8 @@ class TestKthNeighborDistance:
 
 
 def check_knn_window(pts, ks):
-    """rho and the window, with and without indices, against the dense matrix."""
+    """rho and the window, with and without indices, and the radius lists
+    under rho, against the dense matrix."""
     idx = SpatialIndex(pts)
     D2 = sq_dist_matrix(pts)
     n = len(pts)
@@ -216,10 +217,24 @@ def check_knn_window(pts, ks):
         assert (np.diff(np.sort(win, axis=1), axis=1) > 0).all()
         win_d2 = np.sort(np.take_along_axis(D2, win.astype(np.int64), axis=1), axis=1)
         assert np.array_equal(win_d2, np.sort(D2, axis=1)[:, :kq])
+        check_directed_lists(idx, pts, rho)
+
+
+def check_directed_lists(idx, pts, rho):
+    """The radius lists under rho, ranked as the sweep ranks it, against the
+    dense matrix: the same offsets, and per row the same entries and the same
+    mutual ones."""
+    rank = sweep_rank(rho)
+    got = idx.directed_radius_lists(rho, rank)
+    want = BruteIndex(pts).directed_radius_lists(rho, rank)
+    assert got[1].dtype == np.int32 and got[2].dtype == bool
+    assert np.array_equal(got[0], want[0])
+    assert radius_rows(*got) == radius_rows(*want)
 
 
 class TestBlockScan:
-    """knn_window on clouds that stress its blocks and candidate balls."""
+    """knn_window and directed_radius_lists on clouds that stress their
+    blocks and candidate balls."""
 
     @pytest.mark.parametrize("dims", [2, 3])
     def test_all_points_coincident(self, dims):
@@ -274,19 +289,27 @@ class TestBlockScan:
         try:
             for k in (3, 40):
                 rho, win = idx.knn_window(k, workers=1, return_indices=True)
+                rank = sweep_rank(rho)
+                lists = idx.directed_radius_lists(rho, rank, workers=1)
                 for workers in (2, 3):
                     rho_t, win_t = idx.knn_window(k, workers=workers, return_indices=True)
                     assert rho_t.tobytes() == rho.tobytes()
                     assert np.array_equal(win_t, win)
                     assert idx.knn_window(k, workers=workers)[0].tobytes() == rho.tobytes()
+                    lists_t = idx.directed_radius_lists(rho, rank, workers=workers)
+                    for a, b in zip(lists_t, lists):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         finally:
             sys.setswitchinterval(interval)
 
     def test_workers_checked(self):
         idx = SpatialIndex(make_cloud(56, 50))
+        rho, _ = idx.knn_window(3)
         for workers in (0, -2, 1.5):
             with pytest.raises(ParameterError, match="workers"):
                 idx.knn_window(3, workers=workers)
+            with pytest.raises(ParameterError, match="workers"):
+                idx.directed_radius_lists(rho, sweep_rank(rho), workers=workers)
 
     def test_row_chunks_split_a_block(self, monkeypatch):
         # a matrix budget below one block's rows times its candidates
@@ -373,24 +396,25 @@ class TestBulkQueries:
         pts = make_cloud_with_stems(10, 3, 9, extra=30)[:, :2]
         idx = SpatialIndex(pts)
         k = 4
-        rho, win = idx.knn_window(k, return_indices=True)
+        rho, _ = idx.knn_window(k)
         rank = sweep_rank(rho)
-        got = idx.directed_radius_lists(rho, rank, win)
-        want = BruteIndex(pts).directed_radius_lists(rho, rank, win)
+        got = idx.directed_radius_lists(rho, rank)
+        want = BruteIndex(pts).directed_radius_lists(rho, rank)
         assert got[1].dtype == np.int32
         assert np.array_equal(got[0], want[0])
         assert radius_rows(*got) == radius_rows(*want)
 
     def test_directed_radius_lists_regrow_tie_group(self):
         # the centre (last index, so last among equal rho) has four neighbors
-        # at exactly rho = 1; its k+2 = 3 window holds only two of them
+        # at exactly rho = 1, more than its k+2 = 3 window holds: the lists'
+        # candidate ball must hold the whole tie group at rho
         pts = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1], [0, 0]])
         idx = SpatialIndex(pts)
         rho, win = idx.knn_window(1, return_indices=True)
         assert rho.tolist() == [1.0] * 5 and win.shape == (5, 3)
         rank = sweep_rank(rho)
-        got = idx.directed_radius_lists(rho, rank, win)
-        want = BruteIndex(pts).directed_radius_lists(rho, rank, win)
+        got = idx.directed_radius_lists(rho, rank)
+        want = BruteIndex(pts).directed_radius_lists(rho, rank)
         assert got[0].tolist() == want[0].tolist() == [0, 0, 0, 0, 0, 4]
         assert radius_rows(*got) == radius_rows(*want)
         assert radius_rows(*got)[4] == ({0, 1, 2, 3}, {0, 1, 2, 3})

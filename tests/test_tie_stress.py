@@ -34,7 +34,7 @@ def test_all_algorithms_match_oracles_on_lattice_ties(pts, d, k, beta):
     cloud = PointCloud(pts)
     assert np.array_equal(rain_parents(cloud, d).parent, slow_rain_parents(pts, d))
     assert np.array_equal(zqs_parents(cloud, d).parent, slow_zqs_parents(pts, d))
-    density = knn_density_2d(cloud, k, keep_windows=True)
+    density = knn_density_2d(cloud, k)
     assert np.array_equal(gdqs_parents(cloud, d, density).parent, slow_gdqs_parents(pts, d, k))
     cores = extract_cores(cloud, density, k, beta)
     want_cores, want_modes = slow_extract_cores(pts, k, beta)
