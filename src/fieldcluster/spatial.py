@@ -278,6 +278,9 @@ class SpatialIndex:
                 chunk = max(1, _CHUNK_ELEMS // cand.size)
                 for lo_row in range(0, rows.size, chunk):
                     sub = rows[lo_row:lo_row + chunk]
+                    # bound until the next chunk's is made: freeing each
+                    # before the next left the heap, and the peak of a later
+                    # gdqs sweep, about 4 MB higher
                     d2 = _sq_dist_cols(self._cols, cand, sub)
                     step(sub, cand, d2)
 
@@ -345,8 +348,8 @@ class SpatialIndex:
         the centre c of the block's bounding box, so every point within
         sqrt(rho[i]) of i lies within far + max sqrt(rho) over the block of
         c. That ball, grown by the relative ``_BOUND_SLACK``, is the block's
-        candidate set; it holds every tie at exactly rho[i], and it is never
-        wider than ``knn_window``'s ball. Entries are filtered from the exact
+        candidate set; it holds every tie at exactly rho[i], and about the
+        same block it is never wider than ``knn_window``'s ball. Entries are filtered from the exact
         squared distances of a row chunk to the candidates, and each row's run
         is scattered to its CSR slot. Returns (offsets, flat, mutual): int32
         neighbor indices in no particular order within a row, and a bool mask
@@ -357,10 +360,9 @@ class SpatialIndex:
         n = self.n
         counts = np.zeros(n, dtype=np.int64)
         pieces = []
-        root = np.sqrt(rho)
 
         def reach(centre, far, block_max):
-            return (far + block_max(root)) * _BOUND_SLACK
+            return (far + block_max(np.sqrt(rho))) * _BOUND_SLACK
 
         def step(sub, cand, d2):
             keep = d2 <= rho[sub][:, None]
