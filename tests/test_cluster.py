@@ -228,7 +228,6 @@ class TestExtractCores:
             seen[members] = True
             assert dens.sweep_rank[mode] == dens.sweep_rank[members].min()
 
-
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     def test_cores_independent_of_entry_order_within_rows(self, monkeypatch, beta):
         # the radius lists come in the scan's order within a row; the link
