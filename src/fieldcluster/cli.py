@@ -47,7 +47,7 @@ def _build_params(algo: str, d: float | None, k: int | None, beta: float | None)
 # an absent --threads becomes -1, one thread per CPU
 _threads_option = click.option(
     "--threads", type=click.IntRange(min=1), callback=lambda ctx, param, value: value or -1,
-    help="threads of the k-NN density scan (gdqs, gdqspp) and of the radius-list scan "
+    help="threads of the k-NN density scan (gdqs, gdqspp) and of the two radius scans "
          "(gdqspp); outputs do not depend on it [default: one per CPU]")
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
 from .pointcloud import PointCloud, _renumber_first_appearance
-from .spatial import _CHUNK_ELEMS, SpatialIndex, _check_d
+from .spatial import SpatialIndex, _check_d
 
 __all__ = [
     "DensityField", "ParentForest", "CoreSet", "Params",
@@ -262,46 +262,65 @@ def gdqs_parents(cloud: PointCloud, d: float, density: DensityField) -> ParentFo
 
 
 def _sweep_edges(density: DensityField, workers: int):
-    """Earlier-neighbor lists within each point's own k-NN radius, and the
-    mutual edges the core sweep merges along, grouped by owner.
+    """The entries the core sweep reads at each point's step, O(n) in all.
 
-    Row i holds the j sweeping before i with dist2d(i,j)^2 <= rho_i (tie
-    inclusive); the entry is mutual iff also dist2d(i,j)^2 <= rho_j, so each
-    mutual edge appears once, in the row of its later endpoint (its owner),
-    and fires at the owner's sweep step. Each point links to its row's first
-    mutual entry (a root if it has none). Links point to earlier points, so
-    the swept part of every link tree is connected through links at every
-    step; a mutual edge inside one tree never joins two components and is
-    dropped. Links and tree-crossing edges span the same components as all
-    mutual edges for every sweep prefix. The lists come from a block scan of
-    the 2D index (``SpatialIndex.directed_radius_lists``), threaded by
-    ``workers``; the order of the entries within a row, and so which mutual
-    entry is first, is the scan's, and the merged components do not depend on
-    it.
+    Point i's earlier neighbors are the j sweeping before i with
+    dist2d(i,j)^2 <= rho_i (tie inclusive); such an entry is mutual iff also
+    dist2d(i,j)^2 <= rho_j, so each mutual edge belongs to its later endpoint
+    (its owner) and fires at the owner's step. Two scans of the 2D index
+    (``SpatialIndex.radius_scan``, threaded by ``workers``) read them:
 
-    Returns ``(offsets, flat, eoff, early)``: the earlier-neighbor lists as
-    CSR, and the kept edges of owner i as ``early[eoff[i]:eoff[i + 1]]``.
+    * the first links each point to its nearest mutual earlier neighbor, by
+      (d^2, index), or to itself when it has none; the links give the link
+      trees, each rooted at its earliest point;
+    * the second keeps, for each owner, its link plus one entry per *other*
+      link tree among its earlier neighbors, chosen by (mutual first, d^2,
+      index).
+
+    Neither keeps an array of n * k entries, and the result does not depend
+    on the scan's order or thread count. Returns ``(eoff, early, mutual)``:
+    the entries of owner i are ``early[eoff[i]:eoff[i + 1]]`` in ascending
+    order, and ``mutual`` flags the mutual ones.
     """
     n = density.n
-    if n >= 1 << 31:
-        raise DataError("clouds beyond 2^31 points are not supported")
-    offsets, flat, mutual = density.index2d.directed_radius_lists(
-        density.rho, density.sweep_rank, workers=workers)
-    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))[mutual]
-    early = flat[mutual]
-    first = np.ones(owner.shape[0], dtype=bool)
-    first[1:] = owner[1:] != owner[:-1]
-    link = np.arange(n, dtype=np.int32)
-    link[owner[first]] = early[first]
+    rho, rank = density.rho, density.sweep_rank
+    link = np.arange(n)
+
+    def nearest_mutual(sub, cand, d2):
+        # an earlier j has rho_j <= rho_i, so d^2 <= rho_j makes it mutual
+        mutual = d2 <= rho[cand]
+        mutual &= rank[cand] < rank[sub][:, None]
+        best = np.where(mutual, d2, np.inf).min(axis=1)
+        j = np.where(mutual & (d2 == best[:, None]), cand, n).min(axis=1)
+        link[sub] = np.where(j < n, j, sub)
+
+    density.index2d.radius_scan(rho, nearest_mutual, workers=workers)
     tree = _resolve_to_fixpoint(link)
-    keep = first
-    for a in range(0, keep.shape[0], _CHUNK_ELEMS):
-        # in slices: the two gathered tree columns would add 8 bytes per edge at the peak
-        part = slice(a, a + _CHUNK_ELEMS)
-        keep[part] |= tree[owner[part]] != tree[early[part]]
+    linked = np.flatnonzero(link != np.arange(n))
+    pieces = [(linked, link[linked], np.ones(linked.size, dtype=bool))]
+
+    def crossing(sub, cand, d2):
+        keep = tree[cand] != tree[sub][:, None]
+        keep &= d2 <= rho[sub][:, None]
+        r, c = np.nonzero(keep)
+        # few entries cross a tree: test their order after the matrix
+        earlier = rank[cand[c]] < rank[sub[r]]
+        r, c = r[earlier], c[earlier]
+        j, dd = cand[c], d2[r, c]
+        t, far = tree[j], dd > rho[j]
+        # first of each (row, tree) run: mutual, then nearest, then lowest index
+        pick = np.lexsort((j, dd, far, t, r))
+        r, j, t, far = r[pick], j[pick], t[pick], far[pick]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (t[1:] != t[:-1])
+        pieces.append((sub[r[first]], j[first], ~far[first]))
+
+    density.index2d.radius_scan(rho, crossing, workers=workers)
+    owner, early, mutual = (np.concatenate(part) for part in zip(*pieces))
+    order = np.lexsort((early, owner))
     eoff = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner[keep], minlength=n), out=eoff[1:])
-    return offsets, flat, eoff, early[keep]
+    np.cumsum(np.bincount(owner, minlength=n), out=eoff[1:])
+    return eoff, early[order], mutual[order]
 
 
 def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float, *,
@@ -318,12 +337,19 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     attach to existing cores instead of nucleating new ones. Components that
     never lock mid-sweep freeze in full when the sweep ends.
 
-    The merges run along link-tree edges (see ``_sweep_edges``), which span
-    the same components as all mutual edges after every step. Every edge
-    firing at a step touches that step's point, so the merged sets, modes and
-    lock states do not depend on which spanning edges are used, nor on the
-    order of the entries within a row. ``workers`` threads the scan that
-    builds the lists (-1: one per CPU); the result does not depend on it.
+    The step of point p reads only the entries of ``_sweep_edges``: p's link
+    and one earlier neighbor per other link tree. That is exact because links
+    point to earlier points and fire at their owner's step: when p is swept,
+    every swept point of a link tree has merged with its link, and so,
+    link by link, with the tree's root. So all swept points of a tree lie in
+    one component, and any one of them stands for the rest: merging with one
+    mutual entry of a tree merges with every mutual neighbor of p in it, and
+    p's own tree joins p's component through p's link alone. The absorption
+    test asks ``locked[find(j)]`` of the non-mutual entries only: a tree with
+    a mutual entry has just merged into p's own, unlocked, component. The
+    merged sets, modes and lock states are those of the full mutual graph,
+    whatever the scan's order. ``workers`` threads the two scans (-1: one
+    per CPU); the result does not depend on it.
 
     Locking needs no heap: a pointer ``due`` walks the sweep order behind the
     current step. The lock threshold (1 - beta) * density never rises along
@@ -349,11 +375,10 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     if n == 0:
         return CoreSet((), np.empty(0, np.int64), 0)
 
-    offsets, targets, eoff, early = _sweep_edges(density, workers)
+    eoff, early, mutual = _sweep_edges(density, workers)
     parent = list(range(n))
     members = [[x] for x in range(n)]
     locked = [False] * n
-    locked_pt = np.zeros(n, dtype=bool)
     core_members: list[np.ndarray] = []
     core_modes: list[int] = []
 
@@ -363,15 +388,10 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
             x = parent[x]
         return x
 
-    def freeze(r: int) -> None:
-        locked[r] = True
-        for x in members[r]:
-            locked_pt[x] = True
-
     def lock(m: int) -> None:
         r = find(m)
         if not locked[r]:
-            freeze(r)
+            locked[r] = True
             core_members.append(np.asarray(sorted(members[r]), dtype=np.int64))
             core_modes.append(m)
 
@@ -383,18 +403,15 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
         parent[rb] = ra
         if not (locked[ra] or locked[rb]):
             members[ra] += members[rb]
-        elif not locked[ra]:
-            freeze(ra)
-        elif not locked[rb]:
-            freeze(rb)
+        locked[ra] = locked[ra] or locked[rb]
 
     inf = float("inf")
     keep = 1.0 - beta
     order = density.sweep_order.tolist()
     vals = density.values.tolist()
-    offsets = offsets.tolist()
     eoff = eoff.tolist()
     early = early.tolist()
+    mutual = mutual.tolist()
     due = 0
     for t in range(n):
         p = order[t]
@@ -404,13 +421,15 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
                            or beta == 0.0 and vals[order[due]] == inf):
             lock(order[due])
             due += 1
-        # (b) merge the point's component along its activated edges
-        for j in early[eoff[p]:eoff[p + 1]]:
-            union(find(p), find(j))
+        # (b) merge the point's component along its mutual entries
+        row = range(eoff[p], eoff[p + 1])
+        for e in row:
+            if mutual[e]:
+                union(find(p), find(early[e]))
         # (c) absorb into a locked component reachable within own k-NN radius
         r = find(p)
-        if not locked[r] and np.count_nonzero(locked_pt[targets[offsets[p]:offsets[p + 1]]]):
-            freeze(r)
+        if not locked[r] and any(locked[find(early[e])] for e in row if not mutual[e]):
+            locked[r] = True
     for m in order[due:]:
         lock(m)
 
@@ -494,8 +513,8 @@ def _labels_per_params(cloud: PointCloud, runs: Iterable[Params],
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input, parameters, and any ``workers``, which threads
-    only the block scans of the 2D index: the k-NN density and the ``gdqspp``
-    radius lists. ``rain``, ``zqs`` and ``gdqs`` run as a
+    only the block scans of the 2D index: the k-NN density and the two radius
+    scans of the ``gdqspp`` core sweep. ``rain``, ``zqs`` and ``gdqs`` run as a
     one-value ``cluster_over_d`` over ``params`` itself."""
     if params.algorithm != "gdqspp":
         return next(_labels_per_params(cloud, [params], workers))

@@ -12,14 +12,15 @@ rely on:
 * ties anywhere are broken by the smaller original point index.
 
 The k-NN radius and the (k+2)-point windows of the density (``knn_window``)
-and the radius lists of the quickshift++ core sweep
-(``directed_radius_lists``) come from one scan of the kD-tree's blocks
+and the k-NN balls that the quickshift++ core sweep filters
+(``radius_scan``) come from one scan of the kD-tree's blocks
 (``_block_scan``): points close in the plane share most of their neighbors,
 so each subtree of a few dozen points fetches one candidate ball that
 provably holds the points each of its rows needs, and each query reads its
 answer off the exact squared distances from the block to those candidates:
-rho and the windows as order statistics, the lists as a filter. Both are
-exact with ties and duplicates, without a per-point neighbor heap.
+rho and the windows as order statistics; the balls go to the caller's step,
+which filters them and keeps only what it needs. Both are exact with ties
+and duplicates, without a per-point neighbor heap.
 
 The nearest-below-rank search grows per-point windows (the kk nearest
 points, self included, with their exact squared distances, from one chunked
@@ -53,14 +54,15 @@ from .errors import DataError, ParameterError
 # a heap whose layout, and so the peak memory, depends on earlier frees
 _CHUNK_ELEMS = 4_400_000
 # _block_scan: the kD-tree's subtrees of at most _BLOCK points (knn_window) or
-# _LIST_BLOCK points (directed_radius_lists) are scanned as blocks, each
-# against one candidate set, and a thread takes _GROUP consecutive blocks at a
-# time. The lists' ball reaches one block radius past the rows, the density's
-# two, and the lists partition nothing, so the per-block calls weigh more
-# there: blocks of 64 made the lists 20-30 % faster than blocks of 32 on the
-# reference field at k = 64, 500 and 1200
+# _RADIUS_BLOCK points (radius_scan) are scanned as blocks, each against one
+# candidate set, and a thread takes _GROUP consecutive blocks at a time. The
+# radius ball reaches one block radius past the rows, the density's two, and
+# its steps partition nothing, so the per-block calls weigh more there: with
+# blocks of 64 the two scans of the gdqspp core sweep took 0.9 s on the
+# reference field at k = 64, against 1.2 s with blocks of 32 and 1.1-1.4 s
+# with 128, and about as long as either at k = 500 and 1200 (two runs each)
 _BLOCK = 32
-_LIST_BLOCK = 64
+_RADIUS_BLOCK = 64
 _GROUP = 64
 # argmin_rank_in_ball: rank blocks of this many points are scanned directly,
 # _LEAF_ROWS queries at a time, so the gathered blocks (under 1 MB) are reused
@@ -338,51 +340,28 @@ class SpatialIndex:
         self._block_scan(_BLOCK, reach, step, threads)
         return rho, win
 
-    def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray, *,
-                              workers: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR lists of the earlier neighbors within each point's own radius,
-        {j : rank[j] < rank[i], dist^2(i, j) <= rho[i]}, with the mutual ones
-        (dist^2(i, j) <= rho[j] as well) marked.
+    def radius_scan(self, rho: np.ndarray, step, *, workers: int = 1) -> None:
+        """Scan every point's ball of squared radius rho[i] in row chunks:
+        ``step(sub, cand, d2)`` gets the exact squared distances d2[r] from
+        point sub[r] to the candidates ``cand``, which hold every j with
+        dist^2(sub[r], j) <= rho[sub[r]], ties at rho included, and may hold
+        farther points.
 
         A block scan (``_block_scan``): each block point i lies within far of
         the centre c of the block's bounding box, so every point within
         sqrt(rho[i]) of i lies within far + max sqrt(rho) over the block of
         c. That ball, grown by the relative ``_BOUND_SLACK``, is the block's
-        candidate set; it holds every tie at exactly rho[i], and about the
-        same block it is never wider than ``knn_window``'s ball. Entries are filtered from the exact
-        squared distances of a row chunk to the candidates, and each row's run
-        is scattered to its CSR slot. Returns (offsets, flat, mutual): int32
-        neighbor indices in no particular order within a row, and a bool mask
-        over them. ``workers`` threads (-1: one per CPU) scan groups of
-        blocks; the result is the same at any thread count.
+        candidate set; about the same block it is never wider than
+        ``knn_window``'s ball. ``workers`` threads (-1: one per CPU) scan
+        groups of blocks, so steps run on several threads at once: each may
+        write only its own rows, or keep a result whose order does not matter.
         """
         threads = _threads(workers)
-        n = self.n
-        counts = np.zeros(n, dtype=np.int64)
-        pieces = []
 
         def reach(centre, far, block_max):
             return (far + block_max(np.sqrt(rho))) * _BOUND_SLACK
 
-        def step(sub, cand, d2):
-            keep = d2 <= rho[sub][:, None]
-            keep &= rank[cand] < rank[sub][:, None]
-            counts[sub] = np.count_nonzero(keep, axis=1)
-            nbr = np.broadcast_to(cand, keep.shape)[keep]
-            pieces.append((sub, nbr.astype(np.int32), d2[keep] <= rho[nbr]))
-
-        self._block_scan(_LIST_BLOCK, reach, step, threads)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        flat = np.empty(offsets[-1], dtype=np.int32)
-        mutual = np.empty(offsets[-1], dtype=bool)
-        for rows, nbr, mut in pieces:
-            # scatter each row's run of entries to its CSR slot
-            c = counts[rows]
-            pos = np.repeat(offsets[rows] - np.cumsum(c) + c, c) + np.arange(nbr.size)
-            flat[pos] = nbr
-            mutual[pos] = mut
-        return offsets, flat, mutual
+        self._block_scan(_RADIUS_BLOCK, reach, step, threads)
 
     # ------------------------------------------------- rank-directed queries
 

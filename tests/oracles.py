@@ -76,6 +76,41 @@ def slow_gdqs_parents(points: np.ndarray, d: float, k: int) -> np.ndarray:
 
 # --------------------------------------------------------------- core oracles
 
+def slow_sweep_entries(points: np.ndarray, k: int) -> list[list[tuple[int, bool]]]:
+    """The core sweep's entries by definition, per point a sorted list of
+    (j, mutual): its link, the nearest (by d^2, index) mutual earlier neighbor
+    within its own k-NN radius, and, per other link tree among its earlier
+    neighbors, the one first by (mutual, d^2, index)."""
+    n = len(points)
+    rho = slow_density(points, k)
+    D2 = sq_dist_matrix(points[:, :2])
+    step_of = {p: t for t, p in enumerate(sorted(range(n), key=lambda i: (rho[i], i)))}
+    earlier = [[j for j in range(n) if step_of[j] < step_of[i] and D2[i, j] <= rho[i]]
+               for i in range(n)]
+    link = []
+    for i in range(n):
+        mutual = [j for j in earlier[i] if D2[i, j] <= rho[j]]
+        link.append(min(mutual, key=lambda j: (D2[i, j], j)) if mutual else i)
+
+    def root(i):
+        while link[i] != i:
+            i = link[i]
+        return i
+
+    rows = []
+    for i in range(n):
+        best = {}
+        for j in earlier[i]:
+            key = (D2[i, j] > rho[j], D2[i, j], j)
+            if root(j) != root(i) and key < best.get(root(j), (True, np.inf, n)):
+                best[root(j)] = key
+        entries = {j: not far for far, _, j in best.values()}
+        if link[i] != i:
+            entries[link[i]] = True
+        rows.append(sorted(entries.items()))
+    return rows
+
+
 def slow_extract_cores(points: np.ndarray, k: int, beta: float):
     """Literal replay of the core-extraction sweep on the full mutual edge set.
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,12 @@ from fieldcluster import (
     knn_density_2d,
     match_clusters,
     rain_parents,
+    spatial,
     zqs_parents,
 )
-from fieldcluster.cluster import DensityField, ParentForest, _resolve_to_fixpoint
+from fieldcluster.cluster import DensityField, ParentForest, _resolve_to_fixpoint, _sweep_edges
 from conftest import make_cloud, make_cloud_with_stems
+from oracles import slow_sweep_entries
 
 
 STEM = PointCloud(np.array([[0.0, 0, 0], [0, 0, 0.5], [0, 0, 1.0]]))
@@ -230,26 +234,58 @@ class TestExtractCores:
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     def test_cores_independent_of_entry_order_within_rows(self, monkeypatch, beta):
-        # the radius lists come in the scan's order within a row; the link
-        # trees follow each row's first mutual entry, the cores must not
+        # the radius scan hands each row chunk its candidates in the kD-tree's
+        # order; neither the sweep's entries nor the cores may follow it
         cloud = PointCloud(make_cloud_with_stems(24, 6, 20, extra=400))
         dens = knn_density_2d(cloud, 8)
+        want_edges = _sweep_edges(dens, 1)
         want = extract_cores(cloud, dens, 8, beta)
-        lists = SpatialIndex.directed_radius_lists
+        scan = SpatialIndex.radius_scan
         rng = np.random.default_rng(25)
+        moved = []
 
-        def shuffled(self, rho, rank, *, workers=1):
-            offsets, flat, mutual = lists(self, rho, rank, workers=workers)
-            row = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-            perm = np.lexsort((rng.random(flat.size), row))
-            assert not np.array_equal(flat[perm], flat)
-            return offsets, flat[perm], mutual[perm]
+        def shuffled(self, rho, step, *, workers=1):
+            def permuted(sub, cand, d2):
+                perm = rng.permutation(cand.size)
+                moved.append(not np.array_equal(perm, np.arange(cand.size)))
+                step(sub, cand[perm], d2[:, perm])
+            scan(self, rho, permuted, workers=workers)
 
-        monkeypatch.setattr(SpatialIndex, "directed_radius_lists", shuffled)
+        monkeypatch.setattr(SpatialIndex, "radius_scan", shuffled)
         for _ in range(5):
+            for a, b in zip(_sweep_edges(dens, 1), want_edges, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             got = extract_cores(cloud, dens, 8, beta)
             assert [c.tolist() for c in got.cores] == [c.tolist() for c in want.cores]
             assert got.mode_indices.tolist() == want.mode_indices.tolist()
+        assert any(moved)
+
+    @pytest.mark.parametrize("k", [4, 8, 20])
+    def test_sweep_entries_match_oracle(self, k):
+        # on random clouds a row often reaches another link tree through a
+        # mutual neighbor and a nearer non-mutual one; lattice clouds seldom do
+        for pts in (make_cloud(27, 300), make_cloud_with_stems(28, 4, 20, extra=200)):
+            eoff, early, mutual = _sweep_edges(knn_density_2d(PointCloud(pts), k), 1)
+            got = [list(zip(early[a:b].tolist(), mutual[a:b].tolist()))
+                   for a, b in zip(eoff[:-1], eoff[1:])]
+            assert got == slow_sweep_entries(pts, k)
+
+    def test_sweep_memory_does_not_grow_with_k(self, monkeypatch):
+        # the sweep keeps O(n) entries and per-chunk temporaries; on this
+        # cloud, lists of all earlier neighbors (n * k / 2 entries) peaked at
+        # 11.5 MB at k = 25 and 44.8 MB at k = 200, and the sweep at 7.2 MB
+        monkeypatch.setattr(spatial, "_CHUNK_ELEMS", 100_000)
+        cloud = PointCloud(np.random.default_rng(26).uniform(0.0, 10.0, size=(20_000, 3)))
+        peaks = {}
+        for k in (25, 200):
+            dens = knn_density_2d(cloud, k)
+            tracemalloc.start()
+            try:
+                extract_cores(cloud, dens, k, 0.3)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] <= 1.5 * peaks[25], peaks
 
 
 class TestGdqsppAssign:

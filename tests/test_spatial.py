@@ -3,8 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from fieldcluster import DataError, ParameterError, PointCloud, SpatialIndex, spatial
-from fieldcluster.cluster import rain_parents
+from fieldcluster import DataError, DensityField, ParameterError, PointCloud, SpatialIndex, spatial
+from fieldcluster.cluster import _sweep_edges, rain_parents
 from brute_index import BruteIndex
 from conftest import make_cloud, make_cloud_with_stems
 from oracles import brute_kth_sq, slow_rain_parents, sq_dist_matrix
@@ -14,15 +14,14 @@ LINE3 = np.array([[0.0, 0, 0], [1, 0, 0], [3, 0, 0]])
 IDENTITY3 = np.arange(3)
 
 
-def sweep_rank(rho):
-    """Rank under (rho, index) ascending, as DensityField.sweep_rank."""
-    return np.lexsort((np.arange(len(rho)), rho)).argsort()
+def sweep_edges(index, rho, workers=1):
+    """The core sweep's entries (eoff, early, mutual) over ``index`` under rho."""
+    return _sweep_edges(DensityField(rho=rho, k=1, index2d=index), workers)
 
 
-def radius_rows(offsets, flat, mutual):
-    """Per row: the set of listed neighbors and the set of mutual ones."""
-    return [(set(flat[a:b].tolist()), set(flat[a:b][mutual[a:b]].tolist()))
-            for a, b in zip(offsets[:-1], offsets[1:])]
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def brute_argmin_rank_in_ball(D2, rank, d):
@@ -203,8 +202,8 @@ class TestKthNeighborDistance:
 
 
 def check_knn_window(pts, ks):
-    """rho and the window, with and without indices, and the radius lists
-    under rho, against the dense matrix."""
+    """rho and the window, with and without indices, the radius scan under
+    rho, and the core sweep's entries, against the dense matrix."""
     idx = SpatialIndex(pts)
     D2 = sq_dist_matrix(pts)
     n = len(pts)
@@ -217,24 +216,32 @@ def check_knn_window(pts, ks):
         assert (np.diff(np.sort(win, axis=1), axis=1) > 0).all()
         win_d2 = np.sort(np.take_along_axis(D2, win.astype(np.int64), axis=1), axis=1)
         assert np.array_equal(win_d2, np.sort(D2, axis=1)[:, :kq])
-        check_directed_lists(idx, pts, rho)
+        check_radius_scan(idx, D2, rho)
+        assert_same_bytes(sweep_edges(idx, rho), sweep_edges(BruteIndex(pts), rho))
 
 
-def check_directed_lists(idx, pts, rho):
-    """The radius lists under rho, ranked as the sweep ranks it, against the
-    dense matrix: the same offsets, and per row the same entries and the same
-    mutual ones."""
-    rank = sweep_rank(rho)
-    got = idx.directed_radius_lists(rho, rank)
-    want = BruteIndex(pts).directed_radius_lists(rho, rank)
-    assert got[1].dtype == np.int32 and got[2].dtype == bool
-    assert np.array_equal(got[0], want[0])
-    assert radius_rows(*got) == radius_rows(*want)
+def check_radius_scan(idx, D2, rho):
+    """radius_scan under rho against the dense matrix: the chunks' rows cover
+    every point once, each chunk's d2 is bit-equal to the matrix, and its
+    candidates hold every j with D2[i, j] <= rho[i], ties at rho included."""
+    seen = []
+
+    def step(sub, cand, d2):
+        assert np.unique(cand).size == cand.size
+        assert np.array_equal(d2.view(np.uint64), D2[np.ix_(sub, cand)].view(np.uint64))
+        # the candidates' d2 are exact, so equal counts mean none is missing
+        ball = rho[sub][:, None]
+        assert np.array_equal(np.count_nonzero(d2 <= ball, axis=1),
+                              np.count_nonzero(D2[sub] <= ball, axis=1))
+        seen.append(sub)
+
+    idx.radius_scan(rho, step)
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(len(rho)))
 
 
 class TestBlockScan:
-    """knn_window and directed_radius_lists on clouds that stress their
-    blocks and candidate balls."""
+    """knn_window, radius_scan and the core sweep's entries on clouds that
+    stress their blocks and candidate balls."""
 
     @pytest.mark.parametrize("dims", [2, 3])
     def test_all_points_coincident(self, dims):
@@ -289,16 +296,13 @@ class TestBlockScan:
         try:
             for k in (3, 40):
                 rho, win = idx.knn_window(k, workers=1, return_indices=True)
-                rank = sweep_rank(rho)
-                lists = idx.directed_radius_lists(rho, rank, workers=1)
+                edges = sweep_edges(idx, rho, workers=1)
                 for workers in (2, 3):
                     rho_t, win_t = idx.knn_window(k, workers=workers, return_indices=True)
                     assert rho_t.tobytes() == rho.tobytes()
                     assert np.array_equal(win_t, win)
                     assert idx.knn_window(k, workers=workers)[0].tobytes() == rho.tobytes()
-                    lists_t = idx.directed_radius_lists(rho, rank, workers=workers)
-                    for a, b in zip(lists_t, lists):
-                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    assert_same_bytes(sweep_edges(idx, rho, workers=workers), edges)
         finally:
             sys.setswitchinterval(interval)
 
@@ -309,7 +313,7 @@ class TestBlockScan:
             with pytest.raises(ParameterError, match="workers"):
                 idx.knn_window(3, workers=workers)
             with pytest.raises(ParameterError, match="workers"):
-                idx.directed_radius_lists(rho, sweep_rank(rho), workers=workers)
+                idx.radius_scan(rho, lambda sub, cand, d2: None, workers=workers)
 
     def test_row_chunks_split_a_block(self, monkeypatch):
         # a matrix budget below one block's rows times its candidates
@@ -392,32 +396,30 @@ class TestBulkQueries:
             win_d2 = np.sort(np.take_along_axis(D2, win.astype(np.int64), axis=1), axis=1)
             assert np.array_equal(win_d2, np.sort(D2, axis=1)[:, :k + 2])
 
-    def test_directed_radius_lists_match_brute(self):
+    def test_radius_scan_matches_brute(self):
         pts = make_cloud_with_stems(10, 3, 9, extra=30)[:, :2]
         idx = SpatialIndex(pts)
-        k = 4
-        rho, _ = idx.knn_window(k)
-        rank = sweep_rank(rho)
-        got = idx.directed_radius_lists(rho, rank)
-        want = BruteIndex(pts).directed_radius_lists(rho, rank)
-        assert got[1].dtype == np.int32
-        assert np.array_equal(got[0], want[0])
-        assert radius_rows(*got) == radius_rows(*want)
+        rho, _ = idx.knn_window(4)
+        check_radius_scan(idx, sq_dist_matrix(pts), rho)
+        got = sweep_edges(idx, rho)
+        assert got[1].dtype == np.int64 and got[2].dtype == bool
+        assert_same_bytes(got, sweep_edges(BruteIndex(pts), rho))
 
-    def test_directed_radius_lists_regrow_tie_group(self):
+    def test_radius_scan_regrows_tie_group(self):
         # the centre (last index, so last among equal rho) has four neighbors
-        # at exactly rho = 1, more than its k+2 = 3 window holds: the lists'
+        # at exactly rho = 1, more than its k+2 = 3 window holds: the scan's
         # candidate ball must hold the whole tie group at rho
         pts = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1], [0, 0]])
         idx = SpatialIndex(pts)
         rho, win = idx.knn_window(1, return_indices=True)
         assert rho.tolist() == [1.0] * 5 and win.shape == (5, 3)
-        rank = sweep_rank(rho)
-        got = idx.directed_radius_lists(rho, rank)
-        want = BruteIndex(pts).directed_radius_lists(rho, rank)
-        assert got[0].tolist() == want[0].tolist() == [0, 0, 0, 0, 0, 4]
-        assert radius_rows(*got) == radius_rows(*want)
-        assert radius_rows(*got)[4] == ({0, 1, 2, 3}, {0, 1, 2, 3})
+        check_radius_scan(idx, sq_dist_matrix(pts), rho)
+        # the four are link-tree roots; the centre links to the first and
+        # keeps one mutual entry for each of the other three trees
+        eoff, early, mutual = sweep_edges(idx, rho)
+        assert_same_bytes((eoff, early, mutual), sweep_edges(BruteIndex(pts), rho))
+        assert eoff.tolist() == [0, 0, 0, 0, 0, 4]
+        assert early.tolist() == [0, 1, 2, 3] and mutual.all()
 
     def test_argmin_rank_in_ball_matches_brute(self):
         pts = make_cloud(11, 300)

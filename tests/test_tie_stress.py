@@ -7,13 +7,15 @@ window's farthest distance, and a window that ends exactly on the ball's edge.""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fieldcluster import Params, PointCloud, cluster, extract_cores, knn_density_2d
-from fieldcluster.cluster import gdqs_parents, rain_parents, zqs_parents
+from fieldcluster import DensityField, Params, PointCloud, cluster, extract_cores, knn_density_2d
+from fieldcluster.cluster import _sweep_edges, gdqs_parents, rain_parents, zqs_parents
+from brute_index import BruteIndex
 from oracles import (
     slow_extract_cores,
     slow_gdqs_parents,
     slow_gdqspp_labels,
     slow_rain_parents,
+    slow_sweep_entries,
     slow_zqs_parents,
 )
 
@@ -36,6 +38,12 @@ def test_all_algorithms_match_oracles_on_lattice_ties(pts, d, k, beta):
     assert np.array_equal(zqs_parents(cloud, d).parent, slow_zqs_parents(pts, d))
     density = knn_density_2d(cloud, k)
     assert np.array_equal(gdqs_parents(cloud, d, density).parent, slow_gdqs_parents(pts, d, k))
+    eoff, early, mutual = edges = _sweep_edges(density, 1)
+    brute = DensityField(rho=density.rho, k=k, index2d=BruteIndex(pts[:, :2]))
+    for a, b in zip(edges, _sweep_edges(brute, 1), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert [list(zip(early[a:b].tolist(), mutual[a:b].tolist()))
+            for a, b in zip(eoff[:-1], eoff[1:])] == slow_sweep_entries(pts, k)
     cores = extract_cores(cloud, density, k, beta)
     want_cores, want_modes = slow_extract_cores(pts, k, beta)
     assert [tuple(c.tolist()) for c in cores.cores] == want_cores
