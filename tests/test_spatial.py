@@ -15,7 +15,8 @@ IDENTITY3 = np.arange(3)
 
 
 def sweep_edges(index, rho, workers=1):
-    """The core sweep's entries (eoff, early, mutual) over ``index`` under rho."""
+    """The core sweep's entries (eoff, early, mutual) over ``index`` under rho
+    (``_sweep_edges`` does not read k)."""
     return _sweep_edges(DensityField(rho=rho, k=1, index2d=index), workers)
 
 
