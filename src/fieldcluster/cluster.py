@@ -262,25 +262,18 @@ def gdqs_parents(cloud: PointCloud, d: float, density: DensityField) -> ParentFo
 
 
 def _sweep_edges(density: DensityField, workers: int):
-    """The entries the core sweep reads at each point's step, O(n) in all.
+    """What the core sweep reads at each point's step, O(n) in all.
 
     Point i's earlier neighbors are the j sweeping before i with
-    dist2d(i,j)^2 <= rho_i (tie inclusive); such an entry is mutual iff also
-    dist2d(i,j)^2 <= rho_j, so each mutual edge belongs to its later endpoint
-    (its owner) and fires at the owner's step. Two scans of the 2D index
-    (``SpatialIndex.radius_scan``, threaded by ``workers``) read them:
-
-    * the first links each point to its nearest mutual earlier neighbor, by
-      (d^2, index), or to itself when it has none; the links give the link
-      trees, each rooted at its earliest point;
-    * the second keeps, for each owner, its link plus one entry per *other*
-      link tree among its earlier neighbors, chosen by (mutual first, d^2,
-      index).
-
-    Neither keeps an array of n * k entries, and the result does not depend
-    on the scan's order or thread count. Returns ``(eoff, early, mutual)``:
-    the entries of owner i are ``early[eoff[i]:eoff[i + 1]]`` in ascending
-    order, and ``mutual`` flags the mutual ones.
+    dist2d(i,j)^2 <= rho_i (tie inclusive), mutual iff also <= rho_j, so a
+    mutual edge fires at the step of its later endpoint (its owner). Two scans of the 2D index, threaded by ``workers``:
+    ``radius_scan`` links each point to its nearest mutual earlier neighbor,
+    by (d^2, index), or to itself; the links give the link trees, each rooted
+    at its earliest point. ``directed_radius_lists`` then keeps, per owner,
+    one entry per *other* link tree among its earlier neighbors, first by
+    (mutual, d^2, index). Neither keeps n * k entries, and the result does
+    not depend on the scans' order or threads. Returns ``(link, eoff, early,
+    mutual)``: owner i's entries are ``early[eoff[i]:eoff[i + 1]]``.
     """
     n = density.n
     rho, rank = density.rho, density.sweep_rank
@@ -296,31 +289,7 @@ def _sweep_edges(density: DensityField, workers: int):
 
     density.index2d.radius_scan(rho, nearest_mutual, workers=workers)
     tree = _resolve_to_fixpoint(link)
-    linked = np.flatnonzero(link != np.arange(n))
-    pieces = [(linked, link[linked], np.ones(linked.size, dtype=bool))]
-
-    def crossing(sub, cand, d2):
-        keep = tree[cand] != tree[sub][:, None]
-        keep &= d2 <= rho[sub][:, None]
-        r, c = np.nonzero(keep)
-        # few entries cross a tree: test their order after the matrix
-        earlier = rank[cand[c]] < rank[sub[r]]
-        r, c = r[earlier], c[earlier]
-        j, dd = cand[c], d2[r, c]
-        t, far = tree[j], dd > rho[j]
-        # first of each (row, tree) run: mutual, then nearest, then lowest index
-        pick = np.lexsort((j, dd, far, t, r))
-        r, j, t, far = r[pick], j[pick], t[pick], far[pick]
-        first = np.ones(r.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (t[1:] != t[:-1])
-        pieces.append((sub[r[first]], j[first], ~far[first]))
-
-    density.index2d.radius_scan(rho, crossing, workers=workers)
-    owner, early, mutual = (np.concatenate(part) for part in zip(*pieces))
-    order = np.lexsort((early, owner))
-    eoff = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=eoff[1:])
-    return eoff, early[order], mutual[order]
+    return (link, *density.index2d.directed_radius_lists(rho, rank, tree, workers=workers))
 
 
 def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float, *,
@@ -337,7 +306,7 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     attach to existing cores instead of nucleating new ones. Components that
     never lock mid-sweep freeze in full when the sweep ends.
 
-    The step of point p reads only the entries of ``_sweep_edges``: p's link
+    The step of point p reads only what ``_sweep_edges`` keeps: p's link
     and one earlier neighbor per other link tree. That is exact because links
     point to earlier points and fire at their owner's step: when p is swept,
     every swept point of a link tree has merged with its link, and so,
@@ -375,7 +344,7 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     if n == 0:
         return CoreSet((), np.empty(0, np.int64), 0)
 
-    eoff, early, mutual = _sweep_edges(density, workers)
+    link, eoff, early, mutual = _sweep_edges(density, workers)
     parent = list(range(n))
     members = [[x] for x in range(n)]
     locked = [False] * n
@@ -409,6 +378,7 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     keep = 1.0 - beta
     order = density.sweep_order.tolist()
     vals = density.values.tolist()
+    link = link.tolist()
     eoff = eoff.tolist()
     early = early.tolist()
     mutual = mutual.tolist()
@@ -421,7 +391,8 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
                            or beta == 0.0 and vals[order[due]] == inf):
             lock(order[due])
             due += 1
-        # (b) merge the point's component along its mutual entries
+        # (b) merge the point's component with its link and mutual entries
+        union(find(p), find(link[p]))
         row = range(eoff[p], eoff[p + 1])
         for e in row:
             if mutual[e]:

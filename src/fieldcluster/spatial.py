@@ -344,17 +344,13 @@ class SpatialIndex:
         """Scan every point's ball of squared radius rho[i] in row chunks:
         ``step(sub, cand, d2)`` gets the exact squared distances d2[r] from
         point sub[r] to the candidates ``cand``, which hold every j with
-        dist^2(sub[r], j) <= rho[sub[r]], ties at rho included, and may hold
-        farther points.
-
-        A block scan (``_block_scan``): each block point i lies within far of
-        the centre c of the block's bounding box, so every point within
-        sqrt(rho[i]) of i lies within far + max sqrt(rho) over the block of
-        c. That ball, grown by the relative ``_BOUND_SLACK``, is the block's
-        candidate set; about the same block it is never wider than
-        ``knn_window``'s ball. ``workers`` threads (-1: one per CPU) scan
-        groups of blocks, so steps run on several threads at once: each may
-        write only its own rows, or keep a result whose order does not matter.
+        dist^2(sub[r], j) <= rho[sub[r]], ties at rho included, and farther
+        points. A block scan (``_block_scan``): every point within sqrt(rho[i])
+        of a block point i lies within far + max sqrt(rho) over the block of
+        the block's centre c; that ball, grown by ``_BOUND_SLACK``, is the
+        block's candidate set. ``workers`` threads (-1: one per CPU) scan
+        groups of blocks, so a step may write only its own rows, or keep a
+        result whose order does not matter.
         """
         threads = _threads(workers)
 
@@ -362,6 +358,40 @@ class SpatialIndex:
             return (far + block_max(np.sqrt(rho))) * _BOUND_SLACK
 
         self._block_scan(_RADIUS_BLOCK, reach, step, threads)
+
+    def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray, group: np.ndarray, *,
+                              workers: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR lists of the earlier neighbors within each point's own radius,
+        {j : rank[j] < rank[i], dist^2(i, j) <= rho[i]}, cut to one per group
+        other than i's own: the first by (mutual, d^2, index), mutual meaning
+        dist^2(i, j) <= rho[j] as well. Returns (offsets, flat, mutual), rows
+        ascending. A ``radius_scan``: the result does not depend on its order
+        or threads, and with one group per point it is the full lists.
+        """
+        pieces = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, bool))]
+
+        def step(sub, cand, d2):
+            keep = group[cand] != group[sub][:, None]
+            keep &= d2 <= rho[sub][:, None]
+            r, c = np.nonzero(keep)
+            # few entries cross a group: test their order after the matrix
+            earlier = rank[cand[c]] < rank[sub[r]]
+            r, c = r[earlier], c[earlier]
+            j, dd = cand[c], d2[r, c]
+            g, far = group[j], dd > rho[j]
+            # first of each (row, group) run: mutual, then nearest, then lowest index
+            pick = np.lexsort((j, dd, far, g, r))
+            r, j, g, far = r[pick], j[pick], g[pick], far[pick]
+            first = np.ones(r.size, dtype=bool)
+            first[1:] = (r[1:] != r[:-1]) | (g[1:] != g[:-1])
+            pieces.append((sub[r[first]], j[first], ~far[first]))
+
+        self.radius_scan(rho, step, workers=workers)
+        owner, flat, mutual = (np.concatenate(part) for part in zip(*pieces))
+        order = np.lexsort((flat, owner))
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=self.n), out=offsets[1:])
+        return offsets, flat[order], mutual[order]
 
     # ------------------------------------------------- rank-directed queries
 

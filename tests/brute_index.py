@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from fieldcluster import SpatialIndex
+
 
 class BruteIndex:
     def __init__(self, points: np.ndarray):
@@ -26,6 +28,9 @@ class BruteIndex:
     def radius_scan(self, rho, step, *, workers=1):
         # one chunk: every point against every point
         step(np.arange(self.n), np.arange(self.n), self._d2)
+
+    # the kD-tree's reduction over this index's one-chunk scan
+    directed_radius_lists = SpatialIndex.directed_radius_lists
 
     def argmin_rank_in_ball(self, rank, d):
         order = np.empty(self.n, dtype=np.int64)

@@ -111,6 +111,18 @@ def slow_sweep_entries(points: np.ndarray, k: int) -> list[list[tuple[int, bool]
     return rows
 
 
+def sweep_rows(link, eoff, early, mutual) -> list[list[tuple[int, bool]]]:
+    """``_sweep_edges``' output in the form of ``slow_sweep_entries``: per
+    point the sorted (j, mutual) of its link and its other-tree entries."""
+    rows = []
+    for i, (a, b) in enumerate(zip(eoff[:-1], eoff[1:])):
+        row = list(zip(early[a:b].tolist(), mutual[a:b].tolist()))
+        if link[i] != i:
+            row.append((int(link[i]), True))
+        rows.append(sorted(row))
+    return rows
+
+
 def slow_extract_cores(points: np.ndarray, k: int, beta: float):
     """Literal replay of the core-extraction sweep on the full mutual edge set.
 

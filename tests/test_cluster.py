@@ -27,7 +27,7 @@ from fieldcluster import (
 )
 from fieldcluster.cluster import DensityField, ParentForest, _resolve_to_fixpoint, _sweep_edges
 from conftest import make_cloud, make_cloud_with_stems
-from oracles import slow_sweep_entries
+from oracles import slow_sweep_entries, sweep_rows
 
 
 STEM = PointCloud(np.array([[0.0, 0, 0], [0, 0, 0.5], [0, 0, 1.0]]))
@@ -265,10 +265,8 @@ class TestExtractCores:
         # on random clouds a row often reaches another link tree through a
         # mutual neighbor and a nearer non-mutual one; lattice clouds seldom do
         for pts in (make_cloud(27, 300), make_cloud_with_stems(28, 4, 20, extra=200)):
-            eoff, early, mutual = _sweep_edges(knn_density_2d(PointCloud(pts), k), 1)
-            got = [list(zip(early[a:b].tolist(), mutual[a:b].tolist()))
-                   for a, b in zip(eoff[:-1], eoff[1:])]
-            assert got == slow_sweep_entries(pts, k)
+            edges = _sweep_edges(knn_density_2d(PointCloud(pts), k), 1)
+            assert sweep_rows(*edges) == slow_sweep_entries(pts, k)
 
     def test_sweep_memory_does_not_grow_with_k(self, monkeypatch):
         # the sweep keeps O(n) entries and per-chunk temporaries; on this

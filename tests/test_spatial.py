@@ -15,8 +15,8 @@ IDENTITY3 = np.arange(3)
 
 
 def sweep_edges(index, rho, workers=1):
-    """The core sweep's entries (eoff, early, mutual) over ``index`` under rho
-    (``_sweep_edges`` does not read k)."""
+    """The core sweep's links and entries (link, eoff, early, mutual) over
+    ``index`` under rho (``_sweep_edges`` does not read k)."""
     return _sweep_edges(DensityField(rho=rho, k=1, index2d=index), workers)
 
 
@@ -218,6 +218,7 @@ def check_knn_window(pts, ks):
         win_d2 = np.sort(np.take_along_axis(D2, win.astype(np.int64), axis=1), axis=1)
         assert np.array_equal(win_d2, np.sort(D2, axis=1)[:, :kq])
         check_radius_scan(idx, D2, rho)
+        check_directed_lists(idx, D2, rho)
         assert_same_bytes(sweep_edges(idx, rho), sweep_edges(BruteIndex(pts), rho))
 
 
@@ -238,6 +239,28 @@ def check_radius_scan(idx, D2, rho):
 
     idx.radius_scan(rho, step)
     assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(len(rho)))
+
+
+def check_directed_lists(idx, D2, rho):
+    """directed_radius_lists with one group per point against the dense
+    matrix: every earlier neighbor within rho[i], ascending, mutual ones
+    marked; with two groups, each row's first entry of the other group."""
+    n = len(rho)
+    rank = np.random.default_rng(n).permutation(n)
+    offsets, flat, mutual = idx.directed_radius_lists(rho, rank, np.arange(n))
+    assert offsets.dtype == flat.dtype == np.int64 and mutual.dtype == bool
+    for i in range(n):
+        want = np.flatnonzero((D2[i] <= rho[i]) & (rank < rank[i]))
+        assert flat[offsets[i]:offsets[i + 1]].tolist() == want.tolist()
+        assert mutual[offsets[i]:offsets[i + 1]].tolist() == (D2[i, want] <= rho[want]).tolist()
+    group = np.arange(n) % 2
+    offsets, flat, mutual = idx.directed_radius_lists(rho, rank, group)
+    for i in range(n):
+        cand = np.flatnonzero((D2[i] <= rho[i]) & (rank < rank[i]) & (group != group[i]))
+        want = min(((D2[i, j] > rho[j], D2[i, j], j) for j in cand), default=None)
+        got = list(zip(flat[offsets[i]:offsets[i + 1]].tolist(),
+                       mutual[offsets[i]:offsets[i + 1]].tolist()))
+        assert got == ([] if want is None else [(want[2], not want[0])])
 
 
 class TestBlockScan:
@@ -315,6 +338,8 @@ class TestBlockScan:
                 idx.knn_window(3, workers=workers)
             with pytest.raises(ParameterError, match="workers"):
                 idx.radius_scan(rho, lambda sub, cand, d2: None, workers=workers)
+            with pytest.raises(ParameterError, match="workers"):
+                idx.directed_radius_lists(rho, np.arange(50), np.arange(50), workers=workers)
 
     def test_row_chunks_split_a_block(self, monkeypatch):
         # a matrix budget below one block's rows times its candidates
@@ -397,16 +422,17 @@ class TestBulkQueries:
             win_d2 = np.sort(np.take_along_axis(D2, win.astype(np.int64), axis=1), axis=1)
             assert np.array_equal(win_d2, np.sort(D2, axis=1)[:, :k + 2])
 
-    def test_radius_scan_matches_brute(self):
+    def test_directed_radius_lists_match_brute(self):
         pts = make_cloud_with_stems(10, 3, 9, extra=30)[:, :2]
         idx = SpatialIndex(pts)
         rho, _ = idx.knn_window(4)
         check_radius_scan(idx, sq_dist_matrix(pts), rho)
+        check_directed_lists(idx, sq_dist_matrix(pts), rho)
         got = sweep_edges(idx, rho)
-        assert got[1].dtype == np.int64 and got[2].dtype == bool
+        assert got[0].dtype == got[2].dtype == np.int64 and got[3].dtype == bool
         assert_same_bytes(got, sweep_edges(BruteIndex(pts), rho))
 
-    def test_radius_scan_regrows_tie_group(self):
+    def test_directed_radius_lists_regrow_tie_group(self):
         # the centre (last index, so last among equal rho) has four neighbors
         # at exactly rho = 1, more than its k+2 = 3 window holds: the scan's
         # candidate ball must hold the whole tie group at rho
@@ -415,12 +441,14 @@ class TestBulkQueries:
         rho, win = idx.knn_window(1, return_indices=True)
         assert rho.tolist() == [1.0] * 5 and win.shape == (5, 3)
         check_radius_scan(idx, sq_dist_matrix(pts), rho)
+        check_directed_lists(idx, sq_dist_matrix(pts), rho)
         # the four are link-tree roots; the centre links to the first and
         # keeps one mutual entry for each of the other three trees
-        eoff, early, mutual = sweep_edges(idx, rho)
-        assert_same_bytes((eoff, early, mutual), sweep_edges(BruteIndex(pts), rho))
-        assert eoff.tolist() == [0, 0, 0, 0, 0, 4]
-        assert early.tolist() == [0, 1, 2, 3] and mutual.all()
+        link, eoff, early, mutual = edges = sweep_edges(idx, rho)
+        assert_same_bytes(edges, sweep_edges(BruteIndex(pts), rho))
+        assert link.tolist() == [0, 1, 2, 3, 0]
+        assert eoff.tolist() == [0, 0, 0, 0, 0, 3]
+        assert early.tolist() == [1, 2, 3] and mutual.all()
 
     def test_argmin_rank_in_ball_matches_brute(self):
         pts = make_cloud(11, 300)

@@ -17,6 +17,7 @@ from oracles import (
     slow_rain_parents,
     slow_sweep_entries,
     slow_zqs_parents,
+    sweep_rows,
 )
 
 
@@ -38,12 +39,11 @@ def test_all_algorithms_match_oracles_on_lattice_ties(pts, d, k, beta):
     assert np.array_equal(zqs_parents(cloud, d).parent, slow_zqs_parents(pts, d))
     density = knn_density_2d(cloud, k)
     assert np.array_equal(gdqs_parents(cloud, d, density).parent, slow_gdqs_parents(pts, d, k))
-    eoff, early, mutual = edges = _sweep_edges(density, 1)
+    edges = _sweep_edges(density, 1)
     brute = DensityField(rho=density.rho, k=k, index2d=BruteIndex(pts[:, :2]))
     for a, b in zip(edges, _sweep_edges(brute, 1), strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert [list(zip(early[a:b].tolist(), mutual[a:b].tolist()))
-            for a, b in zip(eoff[:-1], eoff[1:])] == slow_sweep_entries(pts, k)
+    assert sweep_rows(*edges) == slow_sweep_entries(pts, k)
     cores = extract_cores(cloud, density, k, beta)
     want_cores, want_modes = slow_extract_cores(pts, k, beta)
     assert [tuple(c.tolist()) for c in cores.cores] == want_cores
