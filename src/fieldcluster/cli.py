@@ -2,8 +2,9 @@
 
 Data and JSON reports go to stdout or files; diagnostics go to stderr. The
 exit status is 0 iff no error was reported. ``--threads`` threads only the
-block scans of the 2D index, the k-NN density (gdqs, gdqspp) and the radius
-lists of the gdqspp core sweep, and never changes any output byte.
+block scans: the k-NN density (gdqs, gdqspp), the two radius scans of the
+gdqspp core sweep and the radius scan of rain, and never changes any output
+byte.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def _build_params(algo: str, d: float | None, k: int | None, beta: float | None)
 # an absent --threads becomes -1, one thread per CPU
 _threads_option = click.option(
     "--threads", type=click.IntRange(min=1), callback=lambda ctx, param, value: value or -1,
-    help="threads of the k-NN density scan (gdqs, gdqspp) and of the two radius scans "
-         "(gdqspp); outputs do not depend on it [default: one per CPU]")
+    help="threads of the k-NN density scan (gdqs, gdqspp) and of the radius scans "
+         "(gdqspp, rain); outputs do not depend on it [default: one per CPU]")
 
 
 def _write_report(doc: dict, path: str | None) -> None:

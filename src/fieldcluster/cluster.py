@@ -208,18 +208,20 @@ def _resolve_to_fixpoint(parent: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------- algorithms
 
 def rain_parents(cloud: PointCloud, d: float, *,
-                 index: SpatialIndex | None = None) -> ParentForest:
+                 index: SpatialIndex | None = None, workers: int = 1) -> ParentForest:
     """Link every point to the (z, index)-minimum of its open d-ball.
 
     The ball contains the point itself, so roots are exactly the points that
     are the lowest in their own neighborhood; (z, index) never increases along
     an edge, which makes the forest acyclic. ``index`` reuses a prebuilt 3D
-    index over the cloud's points.
+    index over the cloud's points; ``workers`` threads its radius scan (-1:
+    one per CPU), with the same result at any thread count.
     """
     _check_sizes(cloud, index=index)
     if index is None:
         index = SpatialIndex(cloud.points)
-    return ParentForest(index.argmin_rank_in_ball(_order_and_rank(cloud.points[:, 2])[1], d))
+    rank = _order_and_rank(cloud.points[:, 2])[1]
+    return ParentForest(index.argmin_rank_in_ball(rank, d, workers=workers))
 
 
 def zqs_parents(cloud: PointCloud, d: float, *,
@@ -477,16 +479,19 @@ def _labels_per_params(cloud: PointCloud, runs: Iterable[Params],
         else:
             if shared is None:
                 shared = SpatialIndex(cloud.points)
-            parents = rain_parents if params.algorithm == "rain" else zqs_parents
-            yield forest_to_labels(parents(cloud, params.d, index=shared))
+            if params.algorithm == "rain":
+                forest = rain_parents(cloud, params.d, index=shared, workers=workers)
+            else:
+                forest = zqs_parents(cloud, params.d, index=shared)
+            yield forest_to_labels(forest)
 
 
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input, parameters, and any ``workers``, which threads
-    only the block scans of the 2D index: the k-NN density and the two radius
-    scans of the ``gdqspp`` core sweep. ``rain``, ``zqs`` and ``gdqs`` run as a
-    one-value ``cluster_over_d`` over ``params`` itself."""
+    only the block scans: the k-NN density, the two radius scans of the
+    ``gdqspp`` core sweep and the radius scan of ``rain``. ``rain``, ``zqs``
+    and ``gdqs`` run as a one-value ``cluster_over_d`` over ``params`` itself."""
     if params.algorithm != "gdqspp":
         return next(_labels_per_params(cloud, [params], workers))
     n = cloud.n

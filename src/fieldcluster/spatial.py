@@ -11,31 +11,29 @@ rely on:
 * balls are open (``dist < d``);
 * ties anywhere are broken by the smaller original point index.
 
-The k-NN radius and the (k+2)-point windows of the density (``knn_window``)
-and the k-NN balls that the quickshift++ core sweep filters
-(``radius_scan``) come from one scan of the kD-tree's blocks
-(``_block_scan``): points close in the plane share most of their neighbors,
-so each subtree of a few dozen points fetches one candidate ball that
-provably holds the points each of its rows needs, and each query reads its
-answer off the exact squared distances from the block to those candidates:
-rho and the windows as order statistics; the balls go to the caller's step,
-which filters them and keeps only what it needs. Both are exact with ties
-and duplicates, without a per-point neighbor heap.
+The index has two search engines. The first is a scan of the kD-tree's
+blocks (``_block_scan``): points close together share most of their
+neighbors, so each subtree of a few dozen points fetches one candidate ball
+that provably holds the points each of its rows needs, and each query reads
+its answer off the exact squared distances from the block to those
+candidates. The k-NN radius and the (k+2)-point windows of the density
+(``knn_window``) are order statistics of them; ``radius_scan`` hands them to
+the caller's step, which filters them and keeps only what it needs: the
+quickshift++ core sweep its k-NN balls, the lowest-rank-in-ball search
+(``argmin_rank_in_ball``) the lowest rank strictly inside d. All are exact
+with ties and duplicates, without a per-point neighbor heap, and the cost of
+the radius scans grows with the number of points in a ball.
 
-The nearest-below-rank search grows per-point windows (the kk nearest
-points, self included, with their exact squared distances, from one chunked
-tree query loop) 4x per round instead of materializing neighbor balls,
-resolving each point as soon as its window provably contains the answer;
-windows come back from scipy as arrays, which keeps the inner loops
-vectorized. The lowest-rank-in-ball search does not use windows: it
-descends a hierarchy of kD-trees built per call over blocks of the
-points in rank order, so its cost does not grow with the number of points in
-a ball, and it runs tile by tile over the ground plane, each tile with the
-points near it, so its cost grows linearly with the cloud.
+The second, the nearest-below-rank search, grows per-point windows (the kk
+nearest points, self included, with their exact squared distances, from one
+chunked tree query loop) 4x per round instead of materializing neighbor
+balls, resolving each point as soon as its window provably contains the
+answer; windows come back from scipy as arrays, which keeps the inner loops
+vectorized.
 
-The index is read-only after construction. Only the two block scans take a
-thread count (``workers``, threads over groups of blocks, with no effect on
-results); every other query runs on one thread.
+The index is read-only after construction. The block scans take a thread
+count (``workers``, threads over groups of blocks, with no effect on
+results); the nearest-below-rank search runs on one thread.
 """
 
 from __future__ import annotations
@@ -64,20 +62,9 @@ _CHUNK_ELEMS = 4_400_000
 _BLOCK = 32
 _RADIUS_BLOCK = 64
 _GROUP = 64
-# argmin_rank_in_ball: rank blocks of this many points are scanned directly,
-# _LEAF_ROWS queries at a time, so the gathered blocks (under 1 MB) are reused
-# from the heap and stay in cache instead of being mapped afresh per tile
-_LEAF = 64
-_LEAF_ROWS = 512
 # relative slack on the tree's distance bound, far above the few ulps by which
 # the tree's distance may differ from the exact squared distance
 _BOUND_SLACK = 1.0 + 1e-9
-# argmin_rank_in_ball: the ground plane is halved into tiles of at most this
-# many points or about _TILE_MIN_SIDE * d wide, each searched together with
-# the points within _TILE_MARGIN * d of it, a margin far above rounding
-_TILE_POINTS = 8192
-_TILE_MIN_SIDE = 8
-_TILE_MARGIN = 1.0625
 
 
 def _check_d(d: float) -> None:
@@ -119,61 +106,6 @@ def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
         else:
             d2 += t
     return d2
-
-
-def _lowest_in_ball(ranked: np.ndarray, own: np.ndarray, d: float) -> np.ndarray:
-    """For each query point ranked[own[r]], own[r] being its position among
-    the rank-ordered points ``ranked``, the first position holding a point
-    strictly inside its d-ball.
-
-    Each query's candidate starts as the whole rank range, which holds a ball
-    point (itself), and moves to its left half when that half holds a point
-    strictly inside d, to its right half otherwise, so it always holds the
-    answer. A left half is asked with one batched k=1 query per block against
-    a kD-tree over the block (skipped when the query itself lies in it);
-    blocks of ``_LEAF`` points or fewer are scanned directly for their first
-    ball point. The trees are queried with a slightly inflated bound, so a
-    point strictly inside d is never pruned, and the answer is rechecked with
-    the exact squared distance; when the nearest point lies in the inflated
-    ball but not strictly inside d, the block's inflated ball is rechecked in
-    full. The cost does not depend on how many points a ball holds.
-    """
-    m = ranked.shape[0]
-    cols = tuple(ranked[:, a] for a in range(ranked.shape[1]))
-    cap = d * d
-    bound = d * _BOUND_SLACK
-    start = np.zeros(own.shape[0], dtype=np.int64)  # first rank of each candidate block
-    half = _LEAF
-    while half < m:
-        half *= 2
-    while half > _LEAF:
-        half //= 2
-        # a query inside the left half is its own witness
-        ask = np.flatnonzero(own >= start + half)
-        if not ask.size:
-            continue
-        ask = ask[np.argsort(start[ask], kind="stable")]
-        for rows in np.split(ask, np.flatnonzero(np.diff(start[ask])) + 1):
-            b = start[rows[0]]
-            block = ranked[b:b + half]
-            tree = cKDTree(block)
-            _, j = tree.query(ranked[own[rows]], k=1, distance_upper_bound=bound)
-            hit = np.flatnonzero(j < block.shape[0])
-            inside = np.zeros(rows.size, dtype=bool)
-            inside[hit] = _sq_dist_cols(cols, b + j[hit, None], own[rows[hit]])[:, 0] < cap
-            unsure = hit[~inside[hit]]
-            for r, ball in zip(unsure, tree.query_ball_point(ranked[own[rows[unsure]]], bound)):
-                near = b + np.asarray(ball, dtype=np.int64)[None]
-                inside[r] = (_sq_dist_cols(cols, near, own[rows[r:r + 1]]) < cap).any()
-            start[rows[~inside]] += half
-    out = np.empty(own.shape[0], dtype=np.int64)
-    for lo in range(0, own.shape[0], _LEAF_ROWS):
-        sub = slice(lo, lo + _LEAF_ROWS)
-        pos = np.minimum(start[sub, None] + np.arange(_LEAF), m - 1)
-        # ranks ascend along a row, and its block holds a ball point ahead of
-        # any padding past m
-        out[sub] = start[sub] + np.argmax(_sq_dist_cols(cols, pos, own[sub]) < cap, axis=1)
-    return out
 
 
 class SpatialIndex:
@@ -395,68 +327,26 @@ class SpatialIndex:
 
     # ------------------------------------------------- rank-directed queries
 
-    def argmin_rank_in_ball(self, rank: np.ndarray, d: float) -> np.ndarray:
-        """For each member, the point of minimal rank within the open d-ball.
+    def argmin_rank_in_ball(self, rank: np.ndarray, d: float, *, workers: int = 1) -> np.ndarray:
+        """For each point, the point of minimal rank within its open d-ball.
 
         rank must be a permutation of 0..n-1 (a strict total order); the ball
-        always contains the member itself, so the result is total.
-
-        The ground plane is cut into tiles of bounded size (``_tiles``), and
-        each tile's points are searched among the points near the tile, which
-        hold their balls, so the cost grows linearly with the cloud. Within a
-        tile the search descends a power-of-two hierarchy over the points in
-        rank order (the static decomposition of Bentley & Saxe, 1980; see
-        ``_lowest_in_ball``), so it does not grow with how many points a ball
-        holds. It runs on one thread: a tile's query batches are too small
-        for scipy's thread pool to pay off.
+        always contains the point itself, so the result is total. A
+        ``radius_scan`` at squared radius d*d whose step keeps each row's
+        minimal rank strictly inside d: ``workers`` threads (-1: one per CPU)
+        scan groups of blocks, with the same result at any thread count.
         """
         _check_d(d)
-        out = np.empty(self.n, dtype=np.int64)
+        cap = d * d
+        low = np.empty(self.n, dtype=np.int64)
+
+        def step(sub, cand, d2):
+            low[sub] = np.where(d2 < cap, rank[cand], self.n).min(axis=1)
+
+        self.radius_scan(np.full(self.n, cap), step, workers=workers)
         order = np.empty(self.n, dtype=np.int64)
         order[rank] = np.arange(self.n)
-        for core, region in self._tiles(order, d):
-            own = np.searchsorted(rank[region], rank[core])
-            out[core] = region[_lowest_in_ball(self.points[region], own, d)]
-        return out
-
-    def _tiles(self, order: np.ndarray, d: float):
-        """Yield (core, region) pairs whose cores partition the points; each
-        region holds the open d-ball of every point of its core, the core
-        included, and lists its points in ``order`` (a permutation of all
-        points).
-
-        The ground plane (x, y) is halved at the median of the longer side of
-        a core's bounding box until the core holds at most ``_TILE_POINTS``
-        points or that side is under twice ``_TILE_MIN_SIDE * d``. Each half
-        keeps the points of its parent's region within ``_TILE_MARGIN * d`` of
-        its side of the cut, so a region holds every point within that margin
-        of its core's box, and a ball point lies within d. Nothing is cut when
-        the coordinates are too coarse for the margin to exceed their rounding.
-        """
-        if self.n == 0:
-            return
-        margin = d * _TILE_MARGIN
-        everything = np.arange(self.n)
-        if not 1024 * np.spacing(np.abs(self.points[:, :2]).max()) < margin - d:
-            yield everything, order
-            return
-        cols = self._cols[:2]
-        pieces = [(everything, order, [c.min() for c in cols], [c.max() for c in cols])]
-        while pieces:
-            core, region, lo, hi = pieces.pop()
-            axis = int(hi[1] - lo[1] > hi[0] - lo[0])
-            if core.size <= _TILE_POINTS or hi[axis] - lo[axis] < 2 * _TILE_MIN_SIDE * d:
-                yield core, region
-                continue
-            c = cols[axis]
-            half = core.size // 2
-            split = np.argpartition(c[core], half)
-            cut = c[core[split[half]]]
-            near = c[region]
-            left_hi, right_lo = list(hi), list(lo)
-            left_hi[axis] = right_lo[axis] = cut
-            pieces.append((core[split[half:]], region[near >= cut - margin], right_lo, hi))
-            pieces.append((core[split[:half]], region[near <= cut + margin], lo, left_hi))
+        return order[low]
 
     def nearest_below_rank(self, rank: np.ndarray, d: float | None = None, *,
                            subset: np.ndarray | None = None) -> np.ndarray:

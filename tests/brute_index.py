@@ -32,7 +32,7 @@ class BruteIndex:
     # the kD-tree's reduction over this index's one-chunk scan
     directed_radius_lists = SpatialIndex.directed_radius_lists
 
-    def argmin_rank_in_ball(self, rank, d):
+    def argmin_rank_in_ball(self, rank, d, *, workers=1):
         order = np.empty(self.n, dtype=np.int64)
         order[rank] = np.arange(self.n)
         masked = np.where(self._d2 < d * d, rank[None, :], self.n)

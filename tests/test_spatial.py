@@ -34,9 +34,8 @@ def brute_argmin_rank_in_ball(D2, rank, d):
 
 
 def far_line_cloud(*near):
-    """200 points, in four rank blocks of up to 64: point 0 at the origin
-    and ranked last, then ``near`` ranked first, then a line of points 10 and
-    more away."""
+    """200 points: point 0 at the origin and ranked last, then ``near``
+    ranked first, then a line of points 10 and more away."""
     pts = np.zeros((200, 3))
     pts[1:1 + len(near)] = near
     pts[1 + len(near):, 0] = 10.0 + np.arange(199 - len(near))
@@ -72,7 +71,7 @@ class TestRadiusNeighbors:
         assert idx.nearest_below_rank(IDENTITY3, d=just_above).tolist() == [-1, 0, -1]
 
     def test_strict_inequality_across_blocks(self):
-        # point 1 lies at exactly d = 1 from point 0, in another rank block
+        # point 1 lies at exactly d = 1 from point 0, ranked far below it
         pts, rank = far_line_cloud([1.0, 0, 0])
         D2 = sq_dist_matrix(pts)
         for d, want in ((1.0, 0), (np.nextafter(1.0, 2.0), 1)):
@@ -83,7 +82,7 @@ class TestRadiusNeighbors:
     def test_tree_rounding_disagrees_at_edge(self):
         # from point 0, point 1 lies exactly on the edge of the d-ball and
         # point 2 strictly inside it; scipy sums the squares in another order
-        # and rounds point 1 nearer, so the descent must not trust its nearest
+        # and rounds point 1 nearer, so the query must not trust the tree's d^2
         pts, rank = far_line_cloud([0.661, 0.204, 0.564], [0.661, 0.564, 0.204])
         d = 0.8925429961632101
         D2 = sq_dist_matrix(pts)
@@ -318,6 +317,10 @@ class TestBlockScan:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads interleave as often as they can
         try:
+            rank = np.random.default_rng(55).permutation(len(pts))
+            low = idx.argmin_rank_in_ball(rank, 0.3)
+            for workers in (2, 3):
+                assert np.array_equal(idx.argmin_rank_in_ball(rank, 0.3, workers=workers), low)
             for k in (3, 40):
                 rho, win = idx.knn_window(k, workers=1, return_indices=True)
                 edges = sweep_edges(idx, rho, workers=1)
@@ -340,6 +343,8 @@ class TestBlockScan:
                 idx.radius_scan(rho, lambda sub, cand, d2: None, workers=workers)
             with pytest.raises(ParameterError, match="workers"):
                 idx.directed_radius_lists(rho, np.arange(50), np.arange(50), workers=workers)
+            with pytest.raises(ParameterError, match="workers"):
+                idx.argmin_rank_in_ball(np.arange(50), 0.5, workers=workers)
 
     def test_row_chunks_split_a_block(self, monkeypatch):
         # a matrix budget below one block's rows times its candidates
@@ -460,9 +465,8 @@ class TestBulkQueries:
                 brute_argmin_rank_in_ball(D2, rank, d)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_argmin_rank_in_ball_descends_on_lattice_ties(self, seed):
-        # n >= 512 points in rank blocks of 64: the query descends three or
-        # more levels, and lattice radii put many points exactly on the edge
+    def test_argmin_rank_in_ball_on_lattice_ties(self, seed):
+        # lattice radii put many points exactly on the edge of a ball
         rng = np.random.default_rng(seed)
         sites = rng.integers(0, [8, 8, 6], size=(480, 3))
         pts = np.concatenate([sites, sites[rng.integers(0, 480, size=120)]]).astype(np.float64)
@@ -476,11 +480,11 @@ class TestBulkQueries:
                                   slow_rain_parents(pts, d))
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_argmin_rank_in_ball_across_tiles(self, seed, monkeypatch):
-        # tiles of at most 40 points and at least d wide: most balls cross a
-        # cut, on generic coordinates and on lattice points exactly d apart
-        monkeypatch.setattr(spatial, "_TILE_POINTS", 40)
-        monkeypatch.setattr(spatial, "_TILE_MIN_SIDE", 1)
+    def test_argmin_rank_in_ball_across_blocks(self, seed, monkeypatch):
+        # blocks of at most 4 points in groups of 2: every ball crosses many
+        # blocks, on generic coordinates and on lattice points exactly d apart
+        monkeypatch.setattr(spatial, "_RADIUS_BLOCK", 4)
+        monkeypatch.setattr(spatial, "_GROUP", 2)
         rng = np.random.default_rng(seed)
         sites = rng.integers(0, [20, 10, 4], size=(700, 3))
         lattice = np.concatenate([sites, sites[rng.integers(0, 700, size=100)]])
@@ -490,28 +494,22 @@ class TestBulkQueries:
             rank = rng.permutation(len(pts))
             D2 = sq_dist_matrix(pts)
             for d in radii:
-                cores = [core for core, _ in idx._tiles(np.argsort(rank), d)]
-                assert len(cores) >= 8
-                assert np.array_equal(np.sort(np.concatenate(cores)), np.arange(len(pts)))
                 assert idx.argmin_rank_in_ball(rank, d).tolist() == \
                     brute_argmin_rank_in_ball(D2, rank, d)
 
     def test_argmin_rank_in_ball_coarse_coordinates(self, monkeypatch):
-        # at 2^40 the coordinates round to 2^-12, too coarse for a margin of
-        # 0.0625 * d to clear rounding: one tile holds every point
-        monkeypatch.setattr(spatial, "_TILE_POINTS", 40)
-        monkeypatch.setattr(spatial, "_TILE_MIN_SIDE", 1)
-        pts = make_cloud(22, 800) + [2.0 ** 40, 2.0 ** 40, 0.0]
-        idx = SpatialIndex(pts)
-        rank = np.random.default_rng(22).permutation(len(pts))
-        order = np.argsort(rank)
-        D2 = sq_dist_matrix(pts)
-        for d in (0.1, 0.25):
-            (core, region), = idx._tiles(order, d)
-            assert np.array_equal(core, np.arange(len(pts)))
-            assert np.array_equal(region, order)
-            assert idx.argmin_rank_in_ball(rank, d).tolist() == \
-                brute_argmin_rank_in_ball(D2, rank, d)
+        # at 2^40 x and y round to 2^-12 and at 2^50 to 2^-2, and so do the
+        # centres of the blocks' boxes that the candidate balls are fetched from
+        for offset in (2.0 ** 40, 2.0 ** 50):
+            pts = make_cloud(22, 800) + [offset, offset, 0.0]
+            idx = SpatialIndex(pts)
+            rank = np.random.default_rng(22).permutation(len(pts))
+            D2 = sq_dist_matrix(pts)
+            for block in (64, 4):
+                monkeypatch.setattr(spatial, "_RADIUS_BLOCK", block)
+                for d in (0.1, 0.25, 0.5):
+                    assert idx.argmin_rank_in_ball(rank, d).tolist() == \
+                        brute_argmin_rank_in_ball(D2, rank, d)
 
     def test_nearest_below_rank_matches_brute(self):
         pts = make_cloud(12, 300)
