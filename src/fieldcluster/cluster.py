@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
 from .pointcloud import PointCloud, _renumber_first_appearance
-from .spatial import SpatialIndex, _check_d
+from .spatial import SpatialIndex, _check_d, _sq_dist_cols
 
 __all__ = [
     "DensityField", "ParentForest", "CoreSet", "Params",
@@ -225,14 +225,16 @@ def rain_parents(cloud: PointCloud, d: float, *,
 
 
 def zqs_parents(cloud: PointCloud, d: float, *,
-                index: SpatialIndex | None = None) -> ParentForest:
+                index: SpatialIndex | None = None, workers: int = 1) -> ParentForest:
     """Quickshift with height as inverse density: link each point to its
     nearest strictly lower (z, then index) neighbor within d; roots have no
-    lower neighbor in range."""
+    lower neighbor in range. ``workers`` threads the query (-1: one per CPU),
+    with the same result at any thread count."""
     _check_sizes(cloud, index=index)
     if index is None:
         index = SpatialIndex(cloud.points)
-    nb = index.nearest_below_rank(_order_and_rank(cloud.points[:, 2])[1], d=d)
+    nb = index.nearest_below_rank(_order_and_rank(cloud.points[:, 2])[1], d=d,
+                                  workers=workers)
     return ParentForest(_quickshift_parents(nb))
 
 
@@ -250,16 +252,18 @@ def knn_density_2d(cloud: PointCloud, k: int, workers: int = 1) -> DensityField:
     return DensityField(rho=rho, k=int(k), index2d=index2d)
 
 
-def gdqs_parents(cloud: PointCloud, d: float, density: DensityField) -> ParentForest:
+def gdqs_parents(cloud: PointCloud, d: float, density: DensityField, *,
+                 workers: int = 1) -> ParentForest:
     """2D quickshift under the k-NN density: link each point to its nearest
     (2D distance, then index) neighbor of strictly higher density within d.
 
     Equal finite densities do not parent each other; coincident projections
     resolve through the infinite class's index order. Labels derived from the
-    forest apply to the 3D points unchanged.
+    forest apply to the 3D points unchanged. ``workers`` threads the query
+    (-1: one per CPU), with the same result at any thread count.
     """
     _check_sizes(cloud, density=density)
-    nb = density.index2d.nearest_below_rank(density.parent_rank, d=d)
+    nb = density.index2d.nearest_below_rank(density.parent_rank, d=d, workers=workers)
     return ParentForest(_quickshift_parents(nb))
 
 
@@ -268,10 +272,11 @@ def _sweep_edges(density: DensityField, workers: int):
 
     Point i's earlier neighbors are the j sweeping before i with
     dist2d(i,j)^2 <= rho_i (tie inclusive), mutual iff also <= rho_j, so a
-    mutual edge fires at the step of its later endpoint (its owner). Two scans of the 2D index, threaded by ``workers``:
-    ``radius_scan`` links each point to its nearest mutual earlier neighbor,
-    by (d^2, index), or to itself; the links give the link trees, each rooted
-    at its earliest point. ``directed_radius_lists`` then keeps, per owner,
+    mutual edge fires at the step of its later endpoint (its owner). Two
+    scans of the 2D index, threaded by ``workers``: ``radius_scan`` links
+    each point to its nearest mutual earlier neighbor, by (d^2, index), or
+    to itself; the links give the link trees, each rooted at its earliest
+    point. ``directed_radius_lists`` then keeps, per owner,
     one entry per *other* link tree among its earlier neighbors, first by
     (mutual, d^2, index). Neither keeps n * k entries, and the result does
     not depend on the scans' order or threads. Returns ``(link, eoff, early,
@@ -410,10 +415,12 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
 
 
 def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
-                  index3: SpatialIndex | None = None) -> np.ndarray:
+                  index3: SpatialIndex | None = None, workers: int = 1) -> np.ndarray:
     """Label core points by their core, then climb every remaining point through
     its nearest strictly-denser 3D neighbor (uncapped search) until a core is
-    reached. Returns labels renumbered 1..C by first appearance."""
+    reached. Returns labels renumbered 1..C by first appearance. ``workers``
+    threads the search (-1: one per CPU), with the same result at any thread
+    count."""
     _check_sizes(cloud, density=density, cores=cores, index3=index3)
     n = cloud.n
     if n == 0:
@@ -426,7 +433,7 @@ def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
     if noncore.size:
         if index3 is None:
             index3 = SpatialIndex(cloud.points)
-        nb = index3.nearest_below_rank(density.sweep_rank, subset=noncore)
+        nb = index3.nearest_below_rank(density.sweep_rank, subset=noncore, workers=workers)
         if (nb[noncore] < 0).any():
             raise ContractError("a non-core point has no denser point to climb to")
     target = _resolve_to_fixpoint(_quickshift_parents(nb))
@@ -455,49 +462,86 @@ def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
     order, each equal to ``cluster(cloud, Params(algorithm, d=d, k=k), workers)``.
 
     What does not depend on d is built once, at the first d: the 3D index of
-    ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``. Each d's
-    ``Params`` is built, and so checked, just before its labels are computed,
-    so errors surface at the same d as with one ``cluster`` call per d.
+    ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``. ``zqs`` and
+    ``gdqs`` also make one nearest-below-rank query for the whole sweep, at
+    its largest d (``inf`` is uncapped): the nearest lower-ranked point, by
+    (d^2, index), within the largest ball is the nearest within a smaller
+    one if it lies inside it, and otherwise no lower-ranked point does. So
+    each d's parents are the found links shorter than d, on the exact d^2
+    that the query itself compares. Each d's ``Params`` is built, and so
+    checked, just before its labels are computed, so errors surface at the
+    same d as with one ``cluster`` call per d.
     """
-    return _labels_per_params(cloud, (Params(algorithm, d=d, k=k) for d in ds), workers)
+    return _labels_per_params(cloud, algorithm, list(ds), k, workers)
 
 
-def _labels_per_params(cloud: PointCloud, runs: Iterable[Params],
+def _sweep_radius(ds: list) -> float:
+    """The largest d that a sweep labels: the maximum of ``ds``, by d*d as
+    each query caps its ball, up to the first d that fails its check, where
+    the sweep raises. ds[0] is valid."""
+    top = ds[0]
+    for d in ds[1:]:
+        try:
+            _check_d(d)
+        except (ParameterError, TypeError):
+            break
+        top = max(top, d, key=lambda v: v * v)
+    return top
+
+
+def _links_and_d2(cloud: PointCloud, algorithm: str, d: float, k: int | None,
+                  workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``zqs`` or ``gdqs`` parents at d, with the exact d^2 from each
+    point to its parent, summed as the query sums it (0 at a root)."""
+    if algorithm == "gdqs":
+        _need_two_points(algorithm, cloud.n)
+        parent = gdqs_parents(cloud, d, knn_density_2d(cloud, k, workers=workers),
+                              workers=workers).parent
+        points = cloud.points[:, :2]
+    else:
+        parent = zqs_parents(cloud, d, workers=workers).parent
+        points = cloud.points
+    d2 = _sq_dist_cols(tuple(points.T), parent[:, None], np.arange(cloud.n))
+    return parent, d2[:, 0]
+
+
+def _labels_per_params(cloud: PointCloud, algorithm: str, ds: list, k: int | None,
                        workers: int) -> Iterator[np.ndarray]:
-    """The labels of each of ``runs``: one of ``rain``, ``zqs`` or ``gdqs`` and
-    one k, at any d; see ``cluster_over_d``."""
+    """The labels of ``rain``, ``zqs`` or ``gdqs`` at one k and each d of
+    ``ds``; see ``cluster_over_d``."""
     n = cloud.n
-    shared = None
-    for params in runs:
+    index = links = None
+    for d in ds:
+        params = Params(algorithm, d=d, k=k)
         if n == 0:
             yield np.empty(0, dtype=np.int64)
-        elif params.algorithm == "gdqs":
-            if shared is None:
-                _need_two_points(params.algorithm, n)
-                shared = knn_density_2d(cloud, params.k, workers=workers)
-            yield forest_to_labels(gdqs_parents(cloud, params.d, shared))
+        elif algorithm == "rain":
+            if index is None:
+                index = SpatialIndex(cloud.points)
+            yield forest_to_labels(rain_parents(cloud, params.d, index=index, workers=workers))
         else:
-            if shared is None:
-                shared = SpatialIndex(cloud.points)
-            if params.algorithm == "rain":
-                forest = rain_parents(cloud, params.d, index=shared, workers=workers)
-            else:
-                forest = zqs_parents(cloud, params.d, index=shared)
-            yield forest_to_labels(forest)
+            if links is None:
+                links = _links_and_d2(cloud, algorithm, _sweep_radius(ds), k, workers)
+            parent, d2 = links
+            # a root's d^2 is 0, so it stays a root at every d
+            yield forest_to_labels(ParentForest(np.where(d2 < params.d * params.d,
+                                                         parent, np.arange(n))))
 
 
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
-    deterministic for fixed input, parameters, and any ``workers``, which threads
-    only the block scans: the k-NN density, the two radius scans of the
-    ``gdqspp`` core sweep and the radius scan of ``rain``. ``rain``, ``zqs``
-    and ``gdqs`` run as a one-value ``cluster_over_d`` over ``params`` itself."""
+    deterministic for fixed input, parameters, and any ``workers``, which
+    threads the block scans (the k-NN density, the two radius scans of the
+    ``gdqspp`` core sweep and the radius scan of ``rain``) and the tree
+    queries of the nearest-below-rank search (``zqs``, ``gdqs`` and the
+    ``gdqspp`` climb). ``rain``, ``zqs`` and ``gdqs`` run as a one-value
+    ``cluster_over_d`` at ``params.d``, which makes one query."""
     if params.algorithm != "gdqspp":
-        return next(_labels_per_params(cloud, [params], workers))
+        return next(_labels_per_params(cloud, params.algorithm, [params.d], params.k, workers))
     n = cloud.n
     if n == 0:
         return np.empty(0, dtype=np.int64)
     _need_two_points(params.algorithm, n)
     density = knn_density_2d(cloud, params.k, workers=workers)
     cores = extract_cores(cloud, density, params.k, params.beta, workers=workers)
-    return gdqspp_assign(cloud, density, cores)
+    return gdqspp_assign(cloud, density, cores, workers=workers)

@@ -31,9 +31,10 @@ balls, resolving each point as soon as its window provably contains the
 answer; windows come back from scipy as arrays, which keeps the inner loops
 vectorized.
 
-The index is read-only after construction. The block scans take a thread
-count (``workers``, threads over groups of blocks, with no effect on
-results); the nearest-below-rank search runs on one thread.
+The index is read-only after construction. Both engines take a thread count
+(``workers``, with no effect on results): the block scans thread over groups
+of blocks, and the nearest-below-rank search hands it to the tree query that
+fetches each round's windows, which takes most of its time.
 """
 
 from __future__ import annotations
@@ -130,18 +131,18 @@ class SpatialIndex:
 
     # ---------------------------------------------------------------- helpers
 
-    def _windows(self, members: np.ndarray, kk: int):
+    def _windows(self, members: np.ndarray, kk: int, threads: int):
         """Yield (sub, idx, d2) chunks covering ``members``: idx[r] holds the
         kk nearest points of sub[r] (itself included) and d2[r] their exact
-        squared distances."""
+        squared distances; ``threads`` threads the tree query."""
         rows = max(1, _CHUNK_ELEMS // kk)
         for start in range(0, members.shape[0], rows):
             sub = members[start:start + rows]
-            _, idx = self._tree.query(self.points[sub], k=kk)
+            _, idx = self._tree.query(self.points[sub], k=kk, workers=threads)
             idx = np.atleast_2d(idx).astype(np.int64, copy=False)
             yield sub, idx, _sq_dist_cols(self._cols, idx, sub)
 
-    def _expand(self, members: np.ndarray, kk: int, resolve) -> None:
+    def _expand(self, members: np.ndarray, kk: int, resolve, threads: int) -> None:
         """Grow the windows of unresolved members 4x per round, starting at kk.
 
         ``resolve(sub, idx, d2, exhausted)`` records the answers a chunk's
@@ -152,7 +153,7 @@ class SpatialIndex:
         while active.size:
             kk = min(kk, self.n)
             done = [resolve(sub, idx, d2, kk >= self.n)
-                    for sub, idx, d2 in self._windows(active, kk)]
+                    for sub, idx, d2 in self._windows(active, kk, threads)]
             active = active[~np.concatenate(done)]
             kk *= 4
 
@@ -185,9 +186,11 @@ class SpatialIndex:
         gets the exact squared distances d2[r] from point sub[r] to the
         candidates, in row chunks of at most ``_CHUNK_ELEMS`` elements.
 
-        ``threads`` threads scan the groups. A step writes only the rows of
-        its own chunk, or keeps per-chunk results whose order does not
-        matter, so the result is the same at any thread count.
+        ``threads`` threads scan the groups; one thread scans them in the
+        calling thread, whose heap keeps fewer of the temporaries resident
+        than a pool thread's. A step writes only the rows of its own chunk,
+        or keeps per-chunk results whose order does not matter, so the result
+        is the same at any thread count.
         """
         if self.n == 0:
             return
@@ -220,7 +223,12 @@ class SpatialIndex:
 
         nb = first.size
         groups = np.array_split(np.arange(nb), -(-nb // _GROUP))
-        with ThreadPoolExecutor(min(threads, len(groups))) as pool:
+        threads = min(threads, len(groups))
+        if threads == 1:
+            for group in groups:
+                scan(group)
+            return
+        with ThreadPoolExecutor(threads) as pool:
             for _ in pool.map(scan, groups):
                 pass  # reading each result re-raises a worker's error
 
@@ -349,13 +357,16 @@ class SpatialIndex:
         return order[low]
 
     def nearest_below_rank(self, rank: np.ndarray, d: float | None = None, *,
-                           subset: np.ndarray | None = None) -> np.ndarray:
+                           subset: np.ndarray | None = None, workers: int = 1) -> np.ndarray:
         """For each member i: the j minimizing (distance, index) among points of
         strictly smaller rank, within the open d-ball when d is given and
         anywhere otherwise; -1 when no such point exists. With ``subset``,
-        only those members are resolved (others stay -1)."""
+        only those members are resolved (others stay -1). ``workers`` threads
+        the tree query of the window growth (-1: one per CPU), with the same
+        result at any thread count."""
         if d is not None:
             _check_d(d)
+        threads = _threads(workers)
         n = self.n
         out = np.full(n, -1, dtype=np.int64)
         if n <= 1:
@@ -378,5 +389,5 @@ class SpatialIndex:
 
         members = np.arange(n, dtype=np.int64) if subset is None else \
             np.asarray(subset, dtype=np.int64)
-        self._expand(members, 4, resolve)
+        self._expand(members, 4, resolve, threads)
         return out

@@ -38,7 +38,7 @@ class BruteIndex:
         masked = np.where(self._d2 < d * d, rank[None, :], self.n)
         return order[masked.min(axis=1)]
 
-    def nearest_below_rank(self, rank, d=None, *, subset=None):
+    def nearest_below_rank(self, rank, d=None, *, subset=None, workers=1):
         cap = np.inf if d is None else d * d
         ok = (rank[None, :] < rank[:, None]) & (self._d2 < cap)
         np.fill_diagonal(ok, False)

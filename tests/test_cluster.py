@@ -499,9 +499,13 @@ class TestClusterOverD:
         for a, b in zip(swept, cold):
             assert np.array_equal(a, b)
 
+    # what does not depend on d, and the one nearest-below-rank query at the
+    # largest d that answers every d of a zqs or gdqs sweep
     @pytest.mark.parametrize("algo,k,method", [("gdqs", 8, "knn_window"),
                                                ("rain", None, "__init__"),
-                                               ("zqs", None, "__init__")])
+                                               ("zqs", None, "__init__"),
+                                               ("zqs", None, "nearest_below_rank"),
+                                               ("gdqs", 8, "nearest_below_rank")])
     def test_d_free_structure_built_once(self, monkeypatch, algo, k, method):
         calls = []
         original = getattr(SpatialIndex, method)
@@ -514,6 +518,42 @@ class TestClusterOverD:
         cloud = PointCloud(make_cloud(29, 300))
         assert len(list(cluster_over_d(cloud, algo, self.DS, k))) == 3
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("ds", [(0.5, 0.3, 0.15), (0.3, 0.5, 0.15, 0.3),
+                                    (0.15, float("inf"), 0.3)],
+                             ids=["descending", "shuffled", "inf"])
+    @pytest.mark.parametrize("algo,k", [("rain", None), ("zqs", None), ("gdqs", 8)])
+    def test_any_order_of_d_equals_cluster(self, algo, k, ds):
+        cloud = PointCloud(make_cloud(30, 400))
+        for got, d in zip(cluster_over_d(cloud, algo, ds, k), ds, strict=True):
+            assert np.array_equal(got, cluster(cloud, Params(algo, d=d, k=k)))
+
+    @pytest.mark.parametrize("algo,k", [("zqs", None), ("gdqs", 2)])
+    def test_links_at_exactly_a_swept_d(self, algo, k):
+        # an integer lattice with stacked points: many nearest lower links lie
+        # at exactly 1 or 2, which an open ball of that radius leaves out
+        rng = np.random.default_rng(31)
+        sites = rng.integers(0, 8, size=(150, 2)).astype(np.float64)
+        cloud = PointCloud(np.column_stack([sites, rng.integers(0, 5, size=150)]))
+        ds = (2.0, 1.0, 1.5, 3.0)
+        swept = list(cluster_over_d(cloud, algo, ds, k))
+        for got, d in zip(swept, ds, strict=True):
+            assert np.array_equal(got, cluster(cloud, Params(algo, d=d, k=k)))
+        # the radii cut different links, so the check sees them
+        assert len({lab.max() for lab in swept}) > 1
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), 1e-200])
+    @pytest.mark.parametrize("algo,k", [("rain", None), ("zqs", None), ("gdqs", 8)])
+    def test_invalid_d_raises_at_its_turn(self, algo, k, bad):
+        cloud = PointCloud(make_cloud(32, 300))
+        sweep = cluster_over_d(cloud, algo, (0.3, 0.15, bad, 0.5), k)
+        assert np.array_equal(next(sweep), cluster(cloud, Params(algo, d=0.3, k=k)))
+        assert np.array_equal(next(sweep), cluster(cloud, Params(algo, d=0.15, k=k)))
+        with pytest.raises(ParameterError) as swept:
+            next(sweep)
+        with pytest.raises(ParameterError) as once:
+            cluster(cloud, Params(algo, d=bad, k=k))
+        assert str(swept.value) == str(once.value)
 
     def test_edge_cases_match_cluster(self):
         empty = PointCloud(np.empty((0, 3)))

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -345,6 +346,15 @@ class TestBlockScan:
                 idx.directed_radius_lists(rho, np.arange(50), np.arange(50), workers=workers)
             with pytest.raises(ParameterError, match="workers"):
                 idx.argmin_rank_in_ball(np.arange(50), 0.5, workers=workers)
+            with pytest.raises(ParameterError, match="workers"):
+                idx.nearest_below_rank(np.arange(50), workers=workers)
+
+    def test_one_thread_scans_in_the_calling_thread(self):
+        # no pool thread at one thread: its heap kept more temporaries resident
+        idx = SpatialIndex(make_cloud(58, 300, dims=2))
+        callers = set()
+        idx.radius_scan(np.full(300, 0.01), lambda sub, cand, d2: callers.add(threading.get_ident()))
+        assert callers == {threading.get_ident()}
 
     def test_row_chunks_split_a_block(self, monkeypatch):
         # a matrix budget below one block's rows times its candidates
@@ -514,11 +524,17 @@ class TestBulkQueries:
     def test_nearest_below_rank_matches_brute(self):
         pts = make_cloud(12, 300)
         idx = SpatialIndex(pts)
-        rank = np.random.default_rng(12).permutation(300)
+        rng = np.random.default_rng(12)
+        rank = rng.permutation(300)
+        members = np.unique(rng.integers(0, 300, size=60))
         D2 = sq_dist_matrix(pts)
         for d in (0.2, 1.0, None):
-            assert idx.nearest_below_rank(rank, d=d).tolist() == \
-                brute_nearest_below_rank(D2, rank, d)
+            want = brute_nearest_below_rank(D2, rank, d)
+            want_subset = brute_nearest_below_rank(D2, rank, d, members=members.tolist())
+            for workers in (1, 2, -1):
+                assert idx.nearest_below_rank(rank, d=d, workers=workers).tolist() == want
+                assert idx.nearest_below_rank(rank, d=d, subset=members,
+                                              workers=workers).tolist() == want_subset
 
 
 class TestBuild:
