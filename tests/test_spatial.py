@@ -349,9 +349,11 @@ class TestBlockScan:
             with pytest.raises(ParameterError, match="workers"):
                 idx.nearest_below_rank(np.arange(50), workers=workers)
 
-    def test_one_thread_scans_in_the_calling_thread(self):
+    def test_one_thread_scans_in_the_calling_thread(self, monkeypatch):
         # no pool thread at one thread: its heap kept more temporaries resident
+        monkeypatch.setattr(spatial, "_GROUP", 1)
         idx = SpatialIndex(make_cloud(58, 300, dims=2))
+        assert idx._blocks(spatial._RADIUS_BLOCK).size - 1 >= 4
         callers = set()
         idx.radius_scan(np.full(300, 0.01), lambda sub, cand, d2: callers.add(threading.get_ident()))
         assert callers == {threading.get_ident()}
