@@ -4,6 +4,10 @@ Partitions a gravity-aligned field cloud into clusters that roughly
 correspond to individual plants, using four mode-seeking algorithms over a
 shared kD-tree index, plus synthetic ground-truth generation and IoU-matching
 evaluation.
+
+The name ``cluster`` here is the function, which shadows the submodule of the
+same name, so ``import fieldcluster.cluster as m`` binds the function. Reach
+the module's names with ``from fieldcluster.cluster import ...``.
 """
 
 from .cluster import (

@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .cluster import Params, cluster, cluster_over_d
+from .cluster import _ALGO_PARAMS, Params, cluster, cluster_over_d
 from .errors import DataError, FieldClusterError, ParameterError
 from .evaluation import count_report, match_clusters
 from .pointcloud import PointCloud, load_ply, save_ply
@@ -37,9 +37,9 @@ _MAX_SWEEP_VALUES = 1000
 def _build_params(algo: str, d: float | None, k: int | None, beta: float | None) -> Params:
     """Fill in defaults only for parameters the algorithm accepts; an invalid
     combination is a usage error."""
-    if algo in ("gdqs", "gdqspp") and k is None:
+    if "k" in _ALGO_PARAMS[algo] and k is None:
         k = _DEFAULT_K
-    if algo == "gdqspp" and beta is None:
+    if "beta" in _ALGO_PARAMS[algo] and beta is None:
         beta = _DEFAULT_BETA
     try:
         return Params(algorithm=algo, d=d, k=k, beta=beta)
@@ -74,7 +74,7 @@ def main() -> None:
 @main.command("cluster")
 @click.argument("input_ply", type=click.Path(exists=True, dir_okay=False))
 @click.argument("output_ply", type=click.Path(dir_okay=False))
-@click.option("--algo", required=True, type=click.Choice(["rain", "zqs", "gdqs", "gdqspp"]))
+@click.option("--algo", required=True, type=click.Choice(list(_ALGO_PARAMS)))
 @click.option("--d", type=float, default=None, help="neighborhood distance (native units)")
 @click.option("--k", type=int, default=None, help=f"density kernel size [default: {_DEFAULT_K}]")
 @click.option("--beta", type=float, default=None,
@@ -146,8 +146,8 @@ def _parse_sweep(text: str) -> list[float]:
               help="start:stop:step: treat PRED_PLY as an unlabeled input, cluster it "
                    "at each d (building its density or index once), and report the best "
                    "run with a cluster count within 20% of the truth count")
-@click.option("--algo", type=click.Choice(["rain", "zqs", "gdqs"]), default=None,
-              help="algorithm for --sweep-d runs")
+@click.option("--algo", type=click.Choice([a for a, p in _ALGO_PARAMS.items() if "d" in p]),
+              default=None, help="algorithm for --sweep-d runs")
 @click.option("--k", type=int, default=None, help="density kernel size for --sweep-d runs")
 @_threads_option
 def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
@@ -255,7 +255,7 @@ def _bench_spec(n: int, seed: int) -> FieldSpec:
 @main.command("bench")
 @click.option("--sizes", default="50000,100000,200000,400000",
               help="comma-separated ascending positive point counts")
-@click.option("--algo", required=True, type=click.Choice(["rain", "zqs", "gdqs", "gdqspp"]))
+@click.option("--algo", required=True, type=click.Choice(list(_ALGO_PARAMS)))
 @click.option("--d", type=float, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--beta", type=float, default=None)

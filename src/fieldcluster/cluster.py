@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
 from .pointcloud import PointCloud, _renumber_first_appearance
-from .spatial import SpatialIndex, _check_d, _sq_dist_cols
+from .spatial import SpatialIndex, _check_d, _nearest, _sq_dist_cols
 
 __all__ = [
     "DensityField", "ParentForest", "CoreSet", "Params",
@@ -135,7 +135,7 @@ class Params:
     def __post_init__(self) -> None:
         if self.algorithm not in _ALGO_PARAMS:
             raise ParameterError(
-                f"unknown algorithm {self.algorithm!r}; expected one of rain, zqs, gdqs, gdqspp")
+                f"unknown algorithm {self.algorithm!r}; expected one of {', '.join(_ALGO_PARAMS)}")
         required = _ALGO_PARAMS[self.algorithm]
         supplied = tuple(name for name in ("d", "k", "beta") if getattr(self, name) is not None)
         missing = [p for p in required if p not in supplied]
@@ -290,8 +290,7 @@ def _sweep_edges(density: DensityField, workers: int):
         # an earlier j has rho_j <= rho_i, so d^2 <= rho_j makes it mutual
         mutual = d2 <= rho[cand]
         mutual &= rank[cand] < rank[sub][:, None]
-        best = np.where(mutual, d2, np.inf).min(axis=1)
-        j = np.where(mutual & (d2 == best[:, None]), cand, n).min(axis=1)
+        j = _nearest(mutual, d2, cand, n)[1]
         link[sub] = np.where(j < n, j, sub)
 
     density.index2d.radius_scan(rho, nearest_mutual, workers=workers)
@@ -348,9 +347,6 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
         raise ContractError(f"density was computed with k={density.k}, asked to use k={k}")
     _check_sizes(cloud, density=density)
     n = cloud.n
-    if n == 0:
-        return CoreSet((), np.empty(0, np.int64), 0)
-
     link, eoff, early, mutual = _sweep_edges(density, workers)
     parent = list(range(n))
     members = [[x] for x in range(n)]
@@ -472,7 +468,24 @@ def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
     checked, just before its labels are computed, so errors surface at the
     same d as with one ``cluster`` call per d.
     """
-    return _labels_per_params(cloud, algorithm, list(ds), k, workers)
+    ds = list(ds)
+    n = cloud.n
+    index = links = None
+    for d in ds:
+        params = Params(algorithm, d=d, k=k)
+        if n == 0:
+            yield np.empty(0, dtype=np.int64)
+        elif algorithm == "rain":
+            if index is None:
+                index = SpatialIndex(cloud.points)
+            yield forest_to_labels(rain_parents(cloud, params.d, index=index, workers=workers))
+        else:
+            if links is None:
+                links = _links_and_d2(cloud, algorithm, _sweep_radius(ds), k, workers)
+            parent, d2 = links
+            # a root's d^2 is 0, so it stays a root at every d
+            yield forest_to_labels(ParentForest(np.where(d2 < params.d * params.d,
+                                                         parent, np.arange(n))))
 
 
 def _sweep_radius(ds: list) -> float:
@@ -505,29 +518,6 @@ def _links_and_d2(cloud: PointCloud, algorithm: str, d: float, k: int | None,
     return parent, d2[:, 0]
 
 
-def _labels_per_params(cloud: PointCloud, algorithm: str, ds: list, k: int | None,
-                       workers: int) -> Iterator[np.ndarray]:
-    """The labels of ``rain``, ``zqs`` or ``gdqs`` at one k and each d of
-    ``ds``; see ``cluster_over_d``."""
-    n = cloud.n
-    index = links = None
-    for d in ds:
-        params = Params(algorithm, d=d, k=k)
-        if n == 0:
-            yield np.empty(0, dtype=np.int64)
-        elif algorithm == "rain":
-            if index is None:
-                index = SpatialIndex(cloud.points)
-            yield forest_to_labels(rain_parents(cloud, params.d, index=index, workers=workers))
-        else:
-            if links is None:
-                links = _links_and_d2(cloud, algorithm, _sweep_radius(ds), k, workers)
-            parent, d2 = links
-            # a root's d^2 is 0, so it stays a root at every d
-            yield forest_to_labels(ParentForest(np.where(d2 < params.d * params.d,
-                                                         parent, np.arange(n))))
-
-
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input, parameters, and any ``workers``, which
@@ -537,7 +527,7 @@ def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     ``gdqspp`` climb). ``rain``, ``zqs`` and ``gdqs`` run as a one-value
     ``cluster_over_d`` at ``params.d``, which makes one query."""
     if params.algorithm != "gdqspp":
-        return next(_labels_per_params(cloud, params.algorithm, [params.d], params.k, workers))
+        return next(cluster_over_d(cloud, params.algorithm, [params.d], params.k, workers))
     n = cloud.n
     if n == 0:
         return np.empty(0, dtype=np.int64)

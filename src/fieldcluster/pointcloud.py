@@ -73,6 +73,24 @@ def labels_for_colors(rgb: np.ndarray, mode: str = "palette") -> np.ndarray:
     raise ParameterError(f"unknown color mode {mode!r} (expected 'palette' or 'distinct')")
 
 
+def _checked_points(points, dims: tuple) -> np.ndarray:
+    """A read-only float64 C-order copy of ``points``, of shape (n, dim) for a
+    dim in ``dims`` (an empty input keeps its width if allowed, else takes the
+    last); DataError on any other shape or a non-finite coordinate. The
+    package's one check of coordinates, for a cloud and for an index."""
+    pts = np.array(points, dtype=np.float64, order="C")
+    if pts.size == 0:
+        pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 and pts.shape[1] in dims else dims[-1])
+    if pts.ndim != 2 or pts.shape[1] not in dims:
+        shapes = " or ".join(f"(n, {dim})" for dim in dims)
+        raise DataError(f"points must have shape {shapes}, got {pts.shape}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite coordinate at point index {int(np.flatnonzero(~finite)[0])}")
+    pts.setflags(write=False)
+    return pts
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Ordered 3D points with an optional per-point label array.
@@ -86,15 +104,7 @@ class PointCloud:
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=np.float64, order="C")
-        if pts.size == 0:
-            pts = pts.reshape(0, 3)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise DataError(f"points must have shape (n, 3), got {pts.shape}")
-        finite = np.isfinite(pts).all(axis=1)
-        if not finite.all():
-            raise DataError(f"non-finite coordinate at point index {int(np.flatnonzero(~finite)[0])}")
-        pts.setflags(write=False)
+        pts = _checked_points(self.points, (3,))
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
             lab = np.array(self.labels, dtype=np.int64, order="C")

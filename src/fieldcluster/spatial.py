@@ -45,7 +45,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, ParameterError
+from .errors import ParameterError
+from .pointcloud import _checked_points
 
 # soft bound on elements touched per vectorized query round; its 8-byte
 # temporaries (35 MB) lie clearly above glibc's 32 MiB ceiling on the dynamic
@@ -109,20 +110,20 @@ def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _nearest(ok: np.ndarray, d2: np.ndarray, idx: np.ndarray, n: int):
+    """Per row r, among the entries that ok[r] marks: the least d2[r] and the
+    lowest index of ``idx`` (a 2D array, or a 1D array shared by every row)
+    that attains it; (inf, n) for a row that marks none. The package's one
+    selection by (d^2, index)."""
+    best = np.where(ok, d2, np.inf).min(axis=1)
+    return best, np.where(ok & (d2 == best[:, None]), idx, n).min(axis=1)
+
+
 class SpatialIndex:
     """Balanced kD-tree over a read-only private copy of 2D or 3D coordinates."""
 
     def __init__(self, points: np.ndarray):
-        pts = np.array(points, dtype=np.float64, order="C")
-        if pts.size == 0:
-            pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 and pts.shape[1] in (2, 3) else 3)
-        if pts.ndim != 2 or pts.shape[1] not in (2, 3):
-            raise DataError(f"points must have shape (n, 2) or (n, 3), got {pts.shape}")
-        finite = np.isfinite(pts).all(axis=1)
-        if not finite.all():
-            raise DataError(f"non-finite coordinate at point index {int(np.flatnonzero(~finite)[0])}")
-        pts.setflags(write=False)
-        self.points = pts
+        self.points = pts = _checked_points(points, (2, 3))
         self.n = pts.shape[0]
         # per-axis views: gathers from them run as fast as from contiguous
         # copies, which would add n * dim * 8 bytes at the gdqspp peak
@@ -131,33 +132,7 @@ class SpatialIndex:
 
     # ---------------------------------------------------------------- helpers
 
-    def _windows(self, members: np.ndarray, kk: int, threads: int):
-        """Yield (sub, idx, d2) chunks covering ``members``: idx[r] holds the
-        kk nearest points of sub[r] (itself included) and d2[r] their exact
-        squared distances; ``threads`` threads the tree query."""
-        rows = max(1, _CHUNK_ELEMS // kk)
-        for start in range(0, members.shape[0], rows):
-            sub = members[start:start + rows]
-            _, idx = self._tree.query(self.points[sub], k=kk, workers=threads)
-            idx = np.atleast_2d(idx).astype(np.int64, copy=False)
-            yield sub, idx, _sq_dist_cols(self._cols, idx, sub)
-
-    def _expand(self, members: np.ndarray, kk: int, resolve, threads: int) -> None:
-        """Grow the windows of unresolved members 4x per round, starting at kk.
-
-        ``resolve(sub, idx, d2, exhausted)`` records the answers a chunk's
-        windows settle and returns the mask of settled rows; ``exhausted``
-        means the windows hold the whole cloud, and every row must settle then.
-        """
-        active = members
-        while active.size:
-            kk = min(kk, self.n)
-            done = [resolve(sub, idx, d2, kk >= self.n)
-                    for sub, idx, d2 in self._windows(active, kk, threads)]
-            active = active[~np.concatenate(done)]
-            kk *= 4
-
-    def _blocks(self, size: int = _BLOCK) -> np.ndarray:
+    def _blocks(self, size: int) -> np.ndarray:
         """Start offsets into the tree's point order of the blocks of
         ``_block_scan``, ascending and followed by n: the largest subtrees of
         at most ``size`` points, and leaves of more (all coincident)."""
@@ -373,15 +348,20 @@ class SpatialIndex:
             return out
         cap = np.inf if d is None else d * d
 
-        def resolve(sub, idx, d2, exhausted):
+        def settle(sub, kk):
+            # the kk nearest points of each row, itself included, and their
+            # exact d^2; returns the mask of rows whose answer the window
+            # settles, after recording it. Its temporaries go before the next
+            # chunk's tree query, which lowers the peak of a gdqs sweep
+            _, idx = self._tree.query(self.points[sub], k=kk, workers=threads)
+            idx = np.atleast_2d(idx).astype(np.int64, copy=False)
+            d2 = _sq_dist_cols(self._cols, idx, sub)
             ok = (idx != sub[:, None]) & (rank[idx] < rank[sub][:, None]) & (d2 < cap)
-            d2_ok = np.where(ok, d2, np.inf)
-            best_d2 = d2_ok.min(axis=1)
-            best_idx = np.where(ok & (d2_ok == best_d2[:, None]), idx, n).min(axis=1)
+            best_d2, best_idx = _nearest(ok, d2, idx, n)
             # a candidate strictly inside the window cannot be beaten by a
             # point outside it, which lies at least window_max away
             window_max = d2.max(axis=1)
-            exhausted = exhausted | (window_max >= cap)
+            exhausted = (kk >= n) | (window_max >= cap)
             found = np.isfinite(best_d2)
             certain = found & ((best_d2 < window_max) | exhausted)
             out[sub[certain]] = best_idx[certain]
@@ -389,5 +369,11 @@ class SpatialIndex:
 
         members = np.arange(n, dtype=np.int64) if subset is None else \
             np.asarray(subset, dtype=np.int64)
-        self._expand(members, 4, resolve, threads)
+        kk = 4
+        while members.size:
+            kk = min(kk, n)
+            rows = max(1, _CHUNK_ELEMS // kk)
+            settled = [settle(members[lo:lo + rows], kk) for lo in range(0, members.size, rows)]
+            members = members[~np.concatenate(settled)]
+            kk *= 4
         return out

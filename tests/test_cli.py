@@ -135,6 +135,17 @@ class TestCluster:
         doc = json.loads(rep.read_text())
         assert doc["schema"] == 1 and doc["algorithm"] == "zqs"
 
+    def test_default_k_filled_for_gdqs(self, tmp_path, runner):
+        # 1,260 points, so the default k = 1200 is valid
+        field = tmp_path / "field.ply"
+        assert runner.invoke(main, ["synth", str(field), "--rows", "3", "--cols", "3",
+                                    "--points-per-plant", "140", "--seed", "11"]).exit_code == 0
+        rep = tmp_path / "r.json"
+        result = runner.invoke(main, ["cluster", str(field), str(tmp_path / "o.ply"),
+                                      "--algo", "gdqs", "--d", "0.3", "--report", str(rep)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(rep.read_text())["params"] == {"d": 0.3, "k": 1200, "beta": None}
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_must_be_positive(self, small_field, tmp_path, runner, threads):
         result = runner.invoke(main, ["cluster", str(small_field), str(tmp_path / "o.ply"),
@@ -172,6 +183,16 @@ class TestEval:
         result = runner.invoke(main, ["eval", str(bare), str(bare)])
         assert result.exit_code == 1
         assert "no labels" in result.output
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep-d", "0.1:0.1:0.1", "--algo", "zqs"]],
+                             ids=["labels", "sweep"])
+    def test_point_count_mismatch_fails(self, small_field, tmp_path, runner, sweep):
+        other = tmp_path / "other.ply"
+        assert runner.invoke(main, ["synth", str(other), "--rows", "2", "--cols", "2",
+                                    "--points-per-plant", "30"]).exit_code == 0
+        result = runner.invoke(main, ["eval", str(other), str(small_field), *sweep])
+        assert result.exit_code == 1
+        assert "point count: 120 vs 1080" in result.output
 
     def test_eval_json_byte_identical_across_runs(self, small_field, tmp_path, runner):
         pred = tmp_path / "pred.ply"
@@ -280,6 +301,12 @@ class TestBench:
                                       "--d", "0.1", "--repeats", "1", "--threads", threads])
         assert result.exit_code == 2
         assert "--threads" in result.output
+
+    def test_sizes_must_be_integers(self, runner):
+        result = runner.invoke(main, ["bench", "--sizes", "1000,abc", "--algo", "zqs",
+                                      "--d", "0.1"])
+        assert result.exit_code == 2
+        assert "--sizes expects integers" in result.output
 
     def test_sizes_must_ascend(self, runner):
         result = runner.invoke(main, ["bench", "--sizes", "2000,1000", "--algo", "zqs",

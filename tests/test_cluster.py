@@ -232,6 +232,13 @@ class TestExtractCores:
             seen[members] = True
             assert dens.sweep_rank[mode] == dens.sweep_rank[members].min()
 
+    def test_empty_density_gives_empty_core_set(self):
+        empty = PointCloud(np.empty((0, 3)))
+        dens = DensityField(rho=np.empty(0), k=2, index2d=SpatialIndex(np.empty((0, 2))))
+        cores = extract_cores(empty, dens, 2, 0.3)
+        assert cores.cores == () and cores.n == 0
+        assert cores.mode_indices.shape == (0,) and cores.mode_indices.dtype == np.int64
+
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     def test_cores_independent_of_entry_order_within_rows(self, monkeypatch, beta):
         # the radius scan hands each row chunk its candidates in the kD-tree's

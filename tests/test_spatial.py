@@ -287,7 +287,7 @@ class TestBlockScan:
         pts = np.concatenate([rng.normal(0.0, 1e-3, size=(40, 2)),
                               1e4 + rng.normal(0.0, 1e-3, size=(8, 2))])
         idx = SpatialIndex(pts)
-        starts = idx._blocks()
+        starts = idx._blocks(spatial._BLOCK)
         blocks = np.split(idx._tree.indices, starts[1:-1])
         assert any((b < 40).any() and (b >= 40).any() for b in blocks)
         check_knn_window(pts, (1, 6, 7, 8, 9, 23, 39, 40, 46, 47))
@@ -300,7 +300,7 @@ class TestBlockScan:
     @pytest.mark.parametrize("dims", [2, 3])
     def test_fewer_points_than_a_block(self, dims):
         pts = make_cloud(53, 20, dims=dims)
-        assert SpatialIndex(pts)._blocks().tolist() == [0, 20]
+        assert SpatialIndex(pts)._blocks(spatial._BLOCK).tolist() == [0, 20]
         check_knn_window(pts, range(1, 20))
 
     def test_lattice_ties_in_3d(self):
@@ -314,7 +314,7 @@ class TestBlockScan:
         monkeypatch.setattr(spatial, "_GROUP", 2)
         pts = make_cloud_with_stems(55, 6, 30, extra=420)[:, :2]
         idx = SpatialIndex(pts)
-        assert idx._blocks().size - 1 >= 19
+        assert idx._blocks(spatial._BLOCK).size - 1 >= 19
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads interleave as often as they can
         try:
@@ -523,20 +523,25 @@ class TestBulkQueries:
                     assert idx.argmin_rank_in_ball(rank, d).tolist() == \
                         brute_argmin_rank_in_ball(D2, rank, d)
 
-    def test_nearest_below_rank_matches_brute(self):
+    def test_nearest_below_rank_matches_brute(self, monkeypatch):
         pts = make_cloud(12, 300)
         idx = SpatialIndex(pts)
         rng = np.random.default_rng(12)
         rank = rng.permutation(300)
         members = np.unique(rng.integers(0, 300, size=60))
         D2 = sq_dist_matrix(pts)
+        full = spatial._CHUNK_ELEMS
         for d in (0.2, 1.0, None):
             want = brute_nearest_below_rank(D2, rank, d)
             want_subset = brute_nearest_below_rank(D2, rank, d, members=members.tolist())
-            for workers in (1, 2, -1):
-                assert idx.nearest_below_rank(rank, d=d, workers=workers).tolist() == want
-                assert idx.nearest_below_rank(rank, d=d, subset=members,
-                                              workers=workers).tolist() == want_subset
+            # at full size every round fits in one chunk; at 100 elements a
+            # round takes chunks of 25 rows at 4 neighbors, 6 at 16, 1 from 64
+            for chunk in (full, 100):
+                monkeypatch.setattr(spatial, "_CHUNK_ELEMS", chunk)
+                for workers in (1, 2, -1):
+                    assert idx.nearest_below_rank(rank, d=d, workers=workers).tolist() == want
+                    assert idx.nearest_below_rank(rank, d=d, subset=members,
+                                                  workers=workers).tolist() == want_subset
 
 
 class TestBuild:
