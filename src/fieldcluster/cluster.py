@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
 from .pointcloud import PointCloud, _renumber_first_appearance
-from .spatial import SpatialIndex, _check_d, _nearest, _sq_dist_cols
+from .spatial import SpatialIndex, _check_d, _sq_dist_cols
 
 __all__ = [
     "DensityField", "ParentForest", "CoreSet", "Params",
@@ -272,28 +272,22 @@ def _sweep_edges(density: DensityField, workers: int):
 
     Point i's earlier neighbors are the j sweeping before i with
     dist2d(i,j)^2 <= rho_i (tie inclusive), mutual iff also <= rho_j, so a
-    mutual edge fires at the step of its later endpoint (its owner). Two
-    scans of the 2D index, threaded by ``workers``: ``radius_scan`` links
-    each point to its nearest mutual earlier neighbor, by (d^2, index), or
-    to itself; the links give the link trees, each rooted at its earliest
-    point. ``directed_radius_lists`` then keeps, per owner,
-    one entry per *other* link tree among its earlier neighbors, first by
-    (mutual, d^2, index). Neither keeps n * k entries, and the result does
-    not depend on the scans' order or threads. Returns ``(link, eoff, early,
+    mutual edge fires at the step of its later endpoint (its owner). Each
+    point links to its nearest mutual earlier neighbor, by (d^2, index), or
+    to itself: the window growth of ``nearest_below_rank`` with reach rho
+    finds it, since an earlier j has rho_j <= rho_i and so a mutual j lies
+    inside i's own ball. The links give the link trees, each rooted at its
+    earliest point. One radius scan of the 2D index,
+    ``directed_radius_lists``, then keeps, per owner, one entry per *other*
+    link tree among its earlier neighbors, first by (mutual, d^2, index);
+    it skips the candidates that no row of a block can keep. ``workers``
+    threads both. Neither keeps n * k entries, and the result does not
+    depend on the scan's order or threads. Returns ``(link, eoff, early,
     mutual)``: owner i's entries are ``early[eoff[i]:eoff[i + 1]]``.
     """
-    n = density.n
     rho, rank = density.rho, density.sweep_rank
-    link = np.arange(n)
-
-    def nearest_mutual(sub, cand, d2):
-        # an earlier j has rho_j <= rho_i, so d^2 <= rho_j makes it mutual
-        mutual = d2 <= rho[cand]
-        mutual &= rank[cand] < rank[sub][:, None]
-        j = _nearest(mutual, d2, cand, n)[1]
-        link[sub] = np.where(j < n, j, sub)
-
-    density.index2d.radius_scan(rho, nearest_mutual, workers=workers)
+    link = _quickshift_parents(density.index2d.nearest_below_rank(rank, reach=rho,
+                                                                  workers=workers))
     tree = _resolve_to_fixpoint(link)
     return (link, *density.index2d.directed_radius_lists(rho, rank, tree, workers=workers))
 
@@ -323,8 +317,9 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     test asks ``locked[find(j)]`` of the non-mutual entries only: a tree with
     a mutual entry has just merged into p's own, unlocked, component. The
     merged sets, modes and lock states are those of the full mutual graph,
-    whatever the scan's order. ``workers`` threads the two scans (-1: one
-    per CPU); the result does not depend on it.
+    whatever the scan's order. ``workers`` threads the window growth of the
+    links and the entry scan (-1: one per CPU); the result does not depend
+    on it.
 
     Locking needs no heap: a pointer ``due`` walks the sweep order behind the
     current step. The lock threshold (1 - beta) * density never rises along
@@ -521,11 +516,12 @@ def _links_and_d2(cloud: PointCloud, algorithm: str, d: float, k: int | None,
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input, parameters, and any ``workers``, which
-    threads the block scans (the k-NN density, the two radius scans of the
+    threads the block scans (the k-NN density, the entry scan of the
     ``gdqspp`` core sweep and the radius scan of ``rain``) and the tree
-    queries of the nearest-below-rank search (``zqs``, ``gdqs`` and the
-    ``gdqspp`` climb). ``rain``, ``zqs`` and ``gdqs`` run as a one-value
-    ``cluster_over_d`` at ``params.d``, which makes one query."""
+    queries of the nearest-below-rank search (``zqs``, ``gdqs``, and the
+    links of the ``gdqspp`` core sweep and its climb). ``rain``, ``zqs`` and
+    ``gdqs`` run as a one-value ``cluster_over_d`` at ``params.d``, which
+    makes one query."""
     if params.algorithm != "gdqspp":
         return next(cluster_over_d(cloud, params.algorithm, [params.d], params.k, workers))
     n = cloud.n

@@ -75,12 +75,12 @@ def labels_for_colors(rgb: np.ndarray, mode: str = "palette") -> np.ndarray:
 
 def _checked_points(points, dims: tuple) -> np.ndarray:
     """A read-only float64 C-order copy of ``points``, of shape (n, dim) for a
-    dim in ``dims`` (an empty input keeps its width if allowed, else takes the
-    last); DataError on any other shape or a non-finite coordinate. The
-    package's one check of coordinates, for a cloud and for an index."""
+    dim in ``dims`` (an empty 1D input takes the last); DataError on any
+    other shape, empty or not, or a non-finite coordinate. The package's one
+    check of coordinates, for a cloud and for an index."""
     pts = np.array(points, dtype=np.float64, order="C")
-    if pts.size == 0:
-        pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 and pts.shape[1] in dims else dims[-1])
+    if pts.shape == (0,):
+        pts = pts.reshape(0, dims[-1])
     if pts.ndim != 2 or pts.shape[1] not in dims:
         shapes = " or ".join(f"(n, {dim})" for dim in dims)
         raise DataError(f"points must have shape {shapes}, got {pts.shape}")

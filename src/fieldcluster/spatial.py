@@ -19,17 +19,21 @@ its answer off the exact squared distances from the block to those
 candidates. The k-NN radius and the (k+2)-point windows of the density
 (``knn_window``) are order statistics of them; ``radius_scan`` hands them to
 the caller's step, which filters them and keeps only what it needs: the
-quickshift++ core sweep its k-NN balls, the lowest-rank-in-ball search
-(``argmin_rank_in_ball``) the lowest rank strictly inside d. All are exact
-with ties and duplicates, without a per-point neighbor heap, and the cost of
-the radius scans grows with the number of points in a ball.
+quickshift++ core sweep one entry per other link tree in its k-NN balls
+(``directed_radius_lists``, which first drops the candidates that no row of
+a block can keep), the lowest-rank-in-ball search (``argmin_rank_in_ball``)
+the lowest rank strictly inside d. All are exact with ties and duplicates,
+without a per-point neighbor heap, and the cost of the radius scans grows
+with the number of points in a ball.
 
 The second, the nearest-below-rank search, grows per-point windows (the kk
 nearest points, self included, with their exact squared distances, from one
 chunked tree query loop) 4x per round instead of materializing neighbor
 balls, resolving each point as soon as its window provably contains the
 answer; windows come back from scipy as arrays, which keeps the inner loops
-vectorized.
+vectorized. It finds the nearest lower-ranked point within d (``zqs``,
+``gdqs``), anywhere (the ``gdqspp`` climb), or within the lower-ranked
+point's own reach (the links of the ``gdqspp`` core sweep).
 
 The index is read-only after construction. Both engines take a thread count
 (``workers``, with no effect on results): the block scans thread over groups
@@ -43,7 +47,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 from .pointcloud import _checked_points
@@ -58,9 +61,10 @@ _CHUNK_ELEMS = 4_400_000
 # candidate set, and a thread takes _GROUP consecutive blocks at a time. The
 # radius ball reaches one block radius past the rows, the density's two, and
 # its steps partition nothing, so the per-block calls weigh more there: with
-# blocks of 64 the two scans of the gdqspp core sweep took 0.9 s on the
-# reference field at k = 64, against 1.2 s with blocks of 32 and 1.1-1.4 s
-# with 128, and about as long as either at k = 500 and 1200 (two runs each)
+# blocks of 64 the gdqspp core sweep's radius scans (then two, for its links
+# and its entries) took 0.9 s on the reference field at k = 64, against 1.2 s
+# with blocks of 32 and 1.1-1.4 s with 128, and about as long as either at
+# k = 500 and 1200 (two runs each)
 _BLOCK = 32
 _RADIUS_BLOCK = 64
 _GROUP = 64
@@ -110,15 +114,6 @@ def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _nearest(ok: np.ndarray, d2: np.ndarray, idx: np.ndarray, n: int):
-    """Per row r, among the entries that ok[r] marks: the least d2[r] and the
-    lowest index of ``idx`` (a 2D array, or a 1D array shared by every row)
-    that attains it; (inf, n) for a row that marks none. The package's one
-    selection by (d^2, index)."""
-    best = np.where(ok, d2, np.inf).min(axis=1)
-    return best, np.where(ok & (d2 == best[:, None]), idx, n).min(axis=1)
-
-
 class SpatialIndex:
     """Balanced kD-tree over a read-only private copy of 2D or 3D coordinates."""
 
@@ -128,6 +123,9 @@ class SpatialIndex:
         # per-axis views: gathers from them run as fast as from contiguous
         # copies, which would add n * dim * 8 bytes at the gdqspp peak
         self._cols = tuple(pts[:, a] for a in range(pts.shape[1]))
+        # imported with the first index, so a command that builds none does
+        # not pay the 0.5-0.7 s that scipy.spatial adds to the start-up
+        from scipy.spatial import cKDTree
         self._tree = cKDTree(pts) if self.n else None
 
     # ---------------------------------------------------------------- helpers
@@ -147,7 +145,7 @@ class SpatialIndex:
         starts.append(self.n)
         return np.array(starts, dtype=np.int64)
 
-    def _block_scan(self, size: int, reach, step, threads: int) -> None:
+    def _block_scan(self, size: int, reach, step, threads: int, keep=None) -> None:
         """Scan the points in blocks, each against one candidate set.
 
         Points close in the plane share most of their neighbors, so the
@@ -157,9 +155,11 @@ class SpatialIndex:
         of the blocks' bounding boxes and the distance ``far`` from each centre
         to its farthest block point; ``block_max(values)`` is the per-block
         maximum of a value per point. The tree returns each block's ball, one
-        ``query_ball_point`` per ``_GROUP`` blocks, and ``step(sub, cand, d2)``
-        gets the exact squared distances d2[r] from point sub[r] to the
-        candidates, in row chunks of at most ``_CHUNK_ELEMS`` elements.
+        ``query_ball_point`` per ``_GROUP`` blocks; ``keep(rows, cand)``, when
+        given, cuts it to the candidates that the block's rows can use, and a
+        block with none left is skipped. ``step(sub, cand, d2)`` gets the
+        exact squared distances d2[r] from point sub[r] to the candidates, in
+        row chunks of at most ``_CHUNK_ELEMS`` elements.
 
         ``threads`` threads scan the groups; one thread scans them in the
         calling thread, whose heap keeps fewer of the temporaries resident
@@ -187,6 +187,10 @@ class SpatialIndex:
             for b, ball in zip(group, balls):
                 cand = np.fromiter(ball, dtype=np.intp, count=len(ball))
                 rows = order[starts[b]:starts[b + 1]]
+                if keep is not None:
+                    cand = keep(rows, cand)
+                    if not cand.size:
+                        continue
                 chunk = max(1, _CHUNK_ELEMS // cand.size)
                 for lo_row in range(0, rows.size, chunk):
                     sub = rows[lo_row:lo_row + chunk]
@@ -255,24 +259,26 @@ class SpatialIndex:
         self._block_scan(_BLOCK, reach, step, threads)
         return rho, win
 
-    def radius_scan(self, rho: np.ndarray, step, *, workers: int = 1) -> None:
+    def radius_scan(self, rho: np.ndarray, step, *, keep=None, workers: int = 1) -> None:
         """Scan every point's ball of squared radius rho[i] in row chunks:
         ``step(sub, cand, d2)`` gets the exact squared distances d2[r] from
         point sub[r] to the candidates ``cand``, which hold every j with
         dist^2(sub[r], j) <= rho[sub[r]], ties at rho included, and farther
-        points. A block scan (``_block_scan``): every point within sqrt(rho[i])
-        of a block point i lies within far + max sqrt(rho) over the block of
-        the block's centre c; that ball, grown by ``_BOUND_SLACK``, is the
-        block's candidate set. ``workers`` threads (-1: one per CPU) scan
-        groups of blocks, so a step may write only its own rows, or keep a
-        result whose order does not matter.
+        points; ``keep(rows, cand)``, when given, may drop the candidates that
+        no row of a block can use before their d^2 are computed. A block scan
+        (``_block_scan``): every point within sqrt(rho[i]) of a block point i
+        lies within far + max sqrt(rho) over the block of the block's centre
+        c; that ball, grown by ``_BOUND_SLACK``, is the block's candidate set.
+        ``workers`` threads (-1: one per CPU) scan groups of blocks, so a step
+        may write only its own rows, or keep a result whose order does not
+        matter.
         """
         threads = _threads(workers)
 
         def reach(centre, far, block_max):
             return (far + block_max(np.sqrt(rho))) * _BOUND_SLACK
 
-        self._block_scan(_RADIUS_BLOCK, reach, step, threads)
+        self._block_scan(_RADIUS_BLOCK, reach, step, threads, keep)
 
     def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray, group: np.ndarray, *,
                               workers: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,13 +288,24 @@ class SpatialIndex:
         dist^2(i, j) <= rho[j] as well. Returns (offsets, flat, mutual), rows
         ascending. A ``radius_scan``: the result does not depend on its order
         or threads, and with one group per point it is the full lists.
+
+        Before the d^2, each block drops the candidates that none of its rows
+        can keep: those not earlier than the block's latest row and, when
+        every row lies in one group, those of that group.
         """
         pieces = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, bool))]
 
+        def keep(rows, cand):
+            ok = rank[cand] < rank[rows].max()
+            g = group[rows]
+            if (g == g[0]).all():
+                ok &= group[cand] != g[0]
+            return cand[ok]
+
         def step(sub, cand, d2):
-            keep = group[cand] != group[sub][:, None]
-            keep &= d2 <= rho[sub][:, None]
-            r, c = np.nonzero(keep)
+            cross = group[cand] != group[sub][:, None]
+            cross &= d2 <= rho[sub][:, None]
+            r, c = np.nonzero(cross)
             # few entries cross a group: test their order after the matrix
             earlier = rank[cand[c]] < rank[sub[r]]
             r, c = r[earlier], c[earlier]
@@ -301,7 +318,7 @@ class SpatialIndex:
             first[1:] = (r[1:] != r[:-1]) | (g[1:] != g[:-1])
             pieces.append((sub[r[first]], j[first], ~far[first]))
 
-        self.radius_scan(rho, step, workers=workers)
+        self.radius_scan(rho, step, keep=keep, workers=workers)
         owner, flat, mutual = (np.concatenate(part) for part in zip(*pieces))
         order = np.lexsort((flat, owner))
         offsets = np.zeros(self.n + 1, dtype=np.int64)
@@ -332,15 +349,25 @@ class SpatialIndex:
         return order[low]
 
     def nearest_below_rank(self, rank: np.ndarray, d: float | None = None, *,
-                           subset: np.ndarray | None = None, workers: int = 1) -> np.ndarray:
+                           reach: np.ndarray | None = None, subset: np.ndarray | None = None,
+                           workers: int = 1) -> np.ndarray:
         """For each member i: the j minimizing (distance, index) among points of
         strictly smaller rank, within the open d-ball when d is given and
-        anywhere otherwise; -1 when no such point exists. With ``subset``,
-        only those members are resolved (others stay -1). ``workers`` threads
-        the tree query of the window growth (-1: one per CPU), with the same
-        result at any thread count."""
+        anywhere otherwise, and with dist^2(i, j) <= reach[j] when ``reach``
+        is given; -1 when no such point exists. ``reach`` must not decrease
+        with rank (reach[j] <= reach[i] where rank[j] < rank[i];
+        ParameterError otherwise), so a window whose farthest point lies
+        beyond reach[i] holds every such j. With ``subset``, only those
+        members are resolved (others stay -1).
+        ``workers`` threads the tree query of the window growth (-1: one per
+        CPU), with the same result at any thread count."""
         if d is not None:
             _check_d(d)
+        if reach is not None:
+            # sorted by (rank, reach), reach ascends iff it never decreases with rank
+            by_rank = reach[np.lexsort((reach, rank))]
+            if not (by_rank[1:] >= by_rank[:-1]).all():
+                raise ParameterError("reach must not decrease with rank")
         threads = _threads(workers)
         n = self.n
         out = np.full(n, -1, dtype=np.int64)
@@ -357,12 +384,18 @@ class SpatialIndex:
             idx = np.atleast_2d(idx).astype(np.int64, copy=False)
             d2 = _sq_dist_cols(self._cols, idx, sub)
             ok = (idx != sub[:, None]) & (rank[idx] < rank[sub][:, None]) & (d2 < cap)
-            best_d2, best_idx = _nearest(ok, d2, idx, n)
-            # a candidate strictly inside the window cannot be beaten by a
-            # point outside it, which lies at least window_max away
             window_max = d2.max(axis=1)
             exhausted = (kk >= n) | (window_max >= cap)
+            if reach is not None:
+                # no j outside a window past reach[i] >= reach[j] qualifies
+                ok &= d2 <= reach[idx]
+                exhausted |= window_max > reach[sub]
+            # the least d^2 among the qualifying entries, and the lowest index at it
+            best_d2 = np.where(ok, d2, np.inf).min(axis=1)
+            best_idx = np.where(ok & (d2 == best_d2[:, None]), idx, n).min(axis=1)
             found = np.isfinite(best_d2)
+            # a candidate strictly inside the window cannot be beaten by a
+            # point outside it, which lies at least window_max away
             certain = found & ((best_d2 < window_max) | exhausted)
             out[sub[certain]] = best_idx[certain]
             return certain | (~found & exhausted)

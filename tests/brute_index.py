@@ -25,8 +25,8 @@ class BruteIndex:
             idx = np.argsort(self._d2, axis=1, kind="stable")[:, :kq].astype(np.int32)
         return rho, idx
 
-    def radius_scan(self, rho, step, *, workers=1):
-        # one chunk: every point against every point
+    def radius_scan(self, rho, step, *, keep=None, workers=1):
+        # one chunk: every point against every point, none of them dropped
         step(np.arange(self.n), np.arange(self.n), self._d2)
 
     # the kD-tree's reduction over this index's one-chunk scan
@@ -38,9 +38,11 @@ class BruteIndex:
         masked = np.where(self._d2 < d * d, rank[None, :], self.n)
         return order[masked.min(axis=1)]
 
-    def nearest_below_rank(self, rank, d=None, *, subset=None, workers=1):
+    def nearest_below_rank(self, rank, d=None, *, reach=None, subset=None, workers=1):
         cap = np.inf if d is None else d * d
         ok = (rank[None, :] < rank[:, None]) & (self._d2 < cap)
+        if reach is not None:
+            ok &= self._d2 <= reach[None, :]
         np.fill_diagonal(ok, False)
         d2_ok = np.where(ok, self._d2, np.inf)
         best = d2_ok.min(axis=1)

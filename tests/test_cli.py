@@ -342,10 +342,12 @@ def test_public_names_are_pinned():
 
 
 def test_startup_does_not_import_scipy_optimize():
-    # only eval's matching needs it; every other command would pay its import
+    # only eval's matching needs scipy.optimize, and only a built index needs
+    # scipy.spatial; a command without them would pay their import
     src = str(Path(fieldcluster.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, fieldcluster.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, fieldcluster.cli; "
+            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.spatial')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
-    assert out == "False\n"
+    assert out == "[False, False]\n"

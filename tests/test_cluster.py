@@ -35,6 +35,11 @@ TRIPLE = PointCloud(np.array([[0.0, 0, 0], [0.1, 0, 0.5], [0, 0, 0.9]]))
 LINE4 = PointCloud(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [10, 0, 0]]))
 
 
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def partition(labels):
     return {tuple(np.flatnonzero(labels == lab)) for lab in np.unique(labels)}
 
@@ -241,7 +246,7 @@ class TestExtractCores:
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     def test_cores_independent_of_entry_order_within_rows(self, monkeypatch, beta):
-        # the radius scan hands each row chunk its candidates in the kD-tree's
+        # the entry scan hands each row chunk its candidates in the kD-tree's
         # order; neither the sweep's entries nor the cores may follow it
         cloud = PointCloud(make_cloud_with_stems(24, 6, 20, extra=400))
         dens = knn_density_2d(cloud, 8)
@@ -251,12 +256,12 @@ class TestExtractCores:
         rng = np.random.default_rng(25)
         moved = []
 
-        def shuffled(self, rho, step, *, workers=1):
+        def shuffled(self, rho, step, *, keep=None, workers=1):
             def permuted(sub, cand, d2):
                 perm = rng.permutation(cand.size)
                 moved.append(not np.array_equal(perm, np.arange(cand.size)))
                 step(sub, cand[perm], d2[:, perm])
-            scan(self, rho, permuted, workers=workers)
+            scan(self, rho, permuted, keep=keep, workers=workers)
 
         monkeypatch.setattr(SpatialIndex, "radius_scan", shuffled)
         for _ in range(5):
@@ -266,6 +271,36 @@ class TestExtractCores:
             assert [c.tolist() for c in got.cores] == [c.tolist() for c in want.cores]
             assert got.mode_indices.tolist() == want.mode_indices.tolist()
         assert any(moved)
+
+    def test_entry_scan_skips_what_no_row_keeps(self, monkeypatch):
+        # a block gets no candidate that is not earlier than its latest row,
+        # nor, when its rows share one link tree, a candidate of that tree;
+        # without that cut the same blocks get both, and the same entries.
+        # At k = 40 two of the 16 blocks lie in one of the 9 link trees
+        dens = knn_density_2d(PointCloud(make_cloud(26, 600)), 40)
+        rank = dens.sweep_rank
+        scan = SpatialIndex.radius_scan
+        blocks = []
+
+        def spy(self, rho, step, *, keep=None, workers=1):
+            def recorded(sub, cand, d2):
+                # one chunk per block on a cloud this small
+                blocks.append((sub, cand))
+                step(sub, cand, d2)
+            scan(self, rho, recorded, keep=keep if cut else None, workers=workers)
+
+        monkeypatch.setattr(SpatialIndex, "radius_scan", spy)
+        edges, later, same_tree = {}, {}, {}
+        for cut in (True, False):
+            blocks.clear()
+            edges[cut] = _sweep_edges(dens, 1)
+            tree = _resolve_to_fixpoint(edges[cut][0])
+            later[cut] = sum(int((rank[cand] >= rank[sub].max()).sum()) for sub, cand in blocks)
+            same_tree[cut] = sum(int((tree[cand] == tree[sub[0]]).sum())
+                                 for sub, cand in blocks if (tree[sub] == tree[sub[0]]).all())
+        assert later[True] == same_tree[True] == 0
+        assert later[False] > 0 and same_tree[False] > 0
+        assert_same_bytes(edges[True], edges[False])
 
     @pytest.mark.parametrize("k", [4, 8, 20])
     def test_sweep_entries_match_oracle(self, k):
@@ -479,6 +514,19 @@ class TestClusterDispatch:
             a = cluster(cloud, params, workers=1)
             b = cluster(cloud, params, workers=2)
             assert np.array_equal(a, b)
+
+    def test_gdqspp_makes_one_radius_scan(self, monkeypatch):
+        # the links come from window growth; only the entries need a scan
+        scan = SpatialIndex.radius_scan
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.n)
+            scan(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpatialIndex, "radius_scan", counted)
+        cluster(PointCloud(make_cloud(26, 600)), Params("gdqspp", k=8, beta=0.3))
+        assert calls == [600]
 
     def test_prebuilt_index_and_subset_are_keyword_only(self):
         # a thread count passed positionally must not pass for an index or subset

@@ -9,6 +9,7 @@ from fieldcluster import (
     ParameterError,
     PlyError,
     PointCloud,
+    SpatialIndex,
     load_ply,
     save_ply,
 )
@@ -78,6 +79,20 @@ class TestPointCloud:
     def test_points_must_be_n_by_3(self):
         with pytest.raises(DataError, match=r"shape \(n, 3\), got \(4, 2\)"):
             PointCloud(np.zeros((4, 2)))
+
+    def test_empty_points_keep_their_width(self):
+        # an empty array of another width raises as a non-empty one does
+        for shape in ((0, 2), (0, 4), (3, 0)):
+            with pytest.raises(DataError, match=rf"shape \(n, 3\), got \({shape[0]}, {shape[1]}\)"):
+                PointCloud(np.zeros(shape))
+        with pytest.raises(DataError, match=r"shape \(n, 2\) or \(n, 3\), got \(0, 4\)"):
+            SpatialIndex(np.zeros((0, 4)))
+        assert SpatialIndex(np.zeros((0, 2))).points.shape == (0, 2)
+        assert PointCloud(np.empty((0, 3))).points.shape == (0, 3)
+        # an empty 1D input takes the last allowed width
+        assert PointCloud(np.empty(0)).points.shape == (0, 3)
+        assert PointCloud([]).points.shape == (0, 3)
+        assert SpatialIndex(np.empty(0)).points.shape == (0, 3)
 
     def test_arrays_read_only(self):
         cloud = PointCloud(np.zeros((2, 3)), labels=[1, 2])

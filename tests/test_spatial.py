@@ -43,12 +43,13 @@ def far_line_cloud(*near):
     return pts, np.roll(np.arange(200), 1)
 
 
-def brute_nearest_below_rank(D2, rank, d=None, members=None):
+def brute_nearest_below_rank(D2, rank, d=None, members=None, reach=None):
     cap = np.inf if d is None else d * d
     n = len(D2)
     out = [-1] * n
     for i in range(n) if members is None else members:
-        cand = [j for j in range(n) if j != i and rank[j] < rank[i] and D2[i, j] < cap]
+        cand = [j for j in range(n) if j != i and rank[j] < rank[i] and D2[i, j] < cap
+                and (reach is None or D2[i, j] <= reach[j])]
         if cand:
             out[i] = min(cand, key=lambda j: (D2[i, j], j))
     return out
@@ -200,11 +201,28 @@ class TestKthNeighborDistance:
             rho, _ = idx.knn_window(k)
             assert np.array_equal(rho, idx.knn_window(k, return_indices=True)[0])
             assert rho.tolist() == [brute_kth_sq(D2, i, k) for i in range(n)]
+            check_reach(idx, pts, rho)
+
+
+def sweep_rank(rho):
+    """The core sweep's order: rho ascending, then index."""
+    rank = np.empty(len(rho), dtype=np.int64)
+    rank[np.argsort(rho, kind="stable")] = np.arange(len(rho))
+    return rank
+
+
+def check_reach(idx, pts, rho):
+    """nearest_below_rank with reach rho under the sweep's rank (the core
+    sweep's links) against the dense index."""
+    rank = sweep_rank(rho)
+    got = idx.nearest_below_rank(rank, reach=rho)
+    assert np.array_equal(got, BruteIndex(pts).nearest_below_rank(rank, reach=rho))
+    return got
 
 
 def check_knn_window(pts, ks):
     """rho and the window, with and without indices, the radius scan under
-    rho, and the core sweep's entries, against the dense matrix."""
+    rho, and the core sweep's links and entries, against the dense matrix."""
     idx = SpatialIndex(pts)
     D2 = sq_dist_matrix(pts)
     n = len(pts)
@@ -219,6 +237,7 @@ def check_knn_window(pts, ks):
         assert np.array_equal(win_d2, np.sort(D2, axis=1)[:, :kq])
         check_radius_scan(idx, D2, rho)
         check_directed_lists(idx, D2, rho)
+        check_reach(idx, pts, rho)
         assert_same_bytes(sweep_edges(idx, rho), sweep_edges(BruteIndex(pts), rho))
 
 
@@ -422,6 +441,42 @@ class TestNearestSatisfying:
         got = idx.nearest_below_rank(rank, subset=members)
         want = brute_nearest_below_rank(sq_dist_matrix(pts), rank, members=members.tolist())
         assert got.tolist() == want
+
+    def test_reach_must_not_decrease_with_rank(self):
+        idx = SpatialIndex(LINE3)
+        with pytest.raises(ParameterError, match="reach must not decrease with rank"):
+            idx.nearest_below_rank(IDENTITY3, reach=np.array([1.0, 0.5, 2.0]))
+        # points of equal rank may hold any reach
+        got = idx.nearest_below_rank(np.array([0, 1, 1]), reach=np.array([1.0, 9.0, 4.0]))
+        assert got.tolist() == [-1, 0, -1]
+
+    @pytest.mark.parametrize("cloud", ["random", "lattice", "duplicates"])
+    def test_reach_matches_brute_force(self, cloud, monkeypatch):
+        # the core sweep's links: the nearest earlier j with d^2 <= rho[j];
+        # a row without one grows its window until it passes its own rho
+        rng = np.random.default_rng(13)
+        pts = {
+            "random": lambda: make_cloud(13, 300, dims=2),
+            "lattice": lambda: rng.integers(0, 9, size=(300, 2)).astype(np.float64),
+            "duplicates": lambda: make_cloud_with_stems(14, 5, 20, extra=60)[:, :2],
+        }[cloud]()
+        idx = SpatialIndex(pts)
+        D2 = sq_dist_matrix(pts)
+        for k in (1, 6, 40):
+            rho, _ = idx.knn_window(k)
+            rank = sweep_rank(rho)
+            want = brute_nearest_below_rank(D2, rank, reach=rho)
+            assert -1 in want and any(j >= 0 for j in want)
+            # one chunk per round, or chunks of 25 rows at 4 neighbors
+            for chunk in (spatial._CHUNK_ELEMS, 100):
+                monkeypatch.setattr(spatial, "_CHUNK_ELEMS", chunk)
+                for workers in (1, 2):
+                    got = idx.nearest_below_rank(rank, reach=rho, workers=workers)
+                    assert got.tolist() == want
+            assert check_reach(idx, pts, rho).tolist() == want
+            d = float(np.sqrt(rho.max()))
+            assert idx.nearest_below_rank(rank, d, reach=rho).tolist() == \
+                brute_nearest_below_rank(D2, rank, d, reach=rho)
 
 
 class TestBulkQueries:
