@@ -35,11 +35,6 @@ TRIPLE = PointCloud(np.array([[0.0, 0, 0], [0.1, 0, 0.5], [0, 0, 0.9]]))
 LINE4 = PointCloud(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [10, 0, 0]]))
 
 
-def assert_same_bytes(got, want):
-    for a, b in zip(got, want, strict=True):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def partition(labels):
     return {tuple(np.flatnonzero(labels == lab)) for lab in np.unique(labels)}
 
@@ -300,7 +295,8 @@ class TestExtractCores:
                                  for sub, cand in blocks if (tree[sub] == tree[sub[0]]).all())
         assert later[True] == same_tree[True] == 0
         assert later[False] > 0 and same_tree[False] > 0
-        assert_same_bytes(edges[True], edges[False])
+        for a, b in zip(edges[True], edges[False], strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("k", [4, 8, 20])
     def test_sweep_entries_match_oracle(self, k):
