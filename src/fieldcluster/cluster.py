@@ -344,7 +344,12 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     n = cloud.n
     link, eoff, early, mutual = _sweep_edges(density, workers)
     parent = list(range(n))
-    members = [[x] for x in range(n)]
+    # member lists only for roots that merged while unlocked, and the sizes
+    # that union by size reads: a list per point gave the garbage collector
+    # n more objects to walk, and 1 to 3 full collections per sweep of
+    # 100,000 to 400,000 points in a process that held many other objects
+    size = [1] * n
+    members: dict[int, list[int]] = {}
     locked = [False] * n
     core_members: list[np.ndarray] = []
     core_modes: list[int] = []
@@ -359,17 +364,18 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
         r = find(m)
         if not locked[r]:
             locked[r] = True
-            core_members.append(np.asarray(sorted(members[r]), dtype=np.int64))
+            core_members.append(np.asarray(sorted(members.get(r, (r,))), dtype=np.int64))
             core_modes.append(m)
 
     def union(ra: int, rb: int) -> None:
         if ra == rb:
             return
-        if len(members[ra]) < len(members[rb]):
+        if size[ra] < size[rb]:
             ra, rb = rb, ra
         parent[rb] = ra
         if not (locked[ra] or locked[rb]):
-            members[ra] += members[rb]
+            size[ra] += size[rb]
+            members.setdefault(ra, [ra]).extend(members.pop(rb, (rb,)))
         locked[ra] = locked[ra] or locked[rb]
 
     inf = float("inf")

@@ -358,9 +358,9 @@ class SpatialIndex:
         with rank (reach[j] <= reach[i] where rank[j] < rank[i];
         ParameterError otherwise), so a window whose farthest point lies
         beyond reach[i] holds every such j. With ``subset``, only those
-        members are resolved (others stay -1).
-        ``workers`` threads the tree query of the window growth (-1: one per
-        CPU), with the same result at any thread count."""
+        members are resolved (others stay -1). ``workers`` threads the tree
+        query of the window growth (-1: one per CPU), with the same result at
+        any thread count."""
         if d is not None:
             _check_d(d)
         if reach is not None:
