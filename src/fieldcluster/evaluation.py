@@ -1,6 +1,13 @@
 """Quantitative evaluation: max-sum-IoU bipartite matching between predicted
 and ground-truth partitions, plus cluster-count summaries.
 
+The matching is solved in this module by the rectangular shortest augmenting
+path algorithm of D. F. Crouse, "On implementing 2D rectangular assignment
+algorithms", IEEE TAES 52(4), 2016, as scipy's ``linear_sum_assignment``
+runs it, with its tie rule: among the unscanned columns at the lowest path
+cost it takes the last free one, else the first. So the pairs equal scipy's,
+ties included, and matching imports no part of scipy.
+
 Truth label 0 denotes ground/unlabeled points and is excluded from the
 matching by default (predicted clusters keep any ground points they contain,
 which counts against their IoU through the union term).
@@ -75,25 +82,87 @@ def _iou_matrix(pred: np.ndarray, truth: np.ndarray, truth_ids: np.ndarray,
     return inter / (pred_sizes[:, None] + inter.sum(axis=0) - inter)
 
 
+def _max_assignment(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of a maximum-sum one-to-one assignment on a finite float
+    matrix: the arrays scipy's ``linear_sum_assignment(mat, maximize=True)``
+    returns.
+
+    Minimizes -mat (its transpose when it has more rows than columns), adding
+    one row at a time along a shortest augmenting path (Crouse 2016). Each
+    step scans the unscanned columns in ``remaining`` order, which starts at
+    nc-1 and removes a slot by moving the last live entry into it, and moves to
+    the lowest path cost: the last free column at that cost, else the first.
+    """
+    transpose = mat.shape[0] > mat.shape[1]
+    cost = np.ascontiguousarray(-(mat.T if transpose else mat))
+    nr, nc = cost.shape
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    path = np.full(nc, -1, dtype=np.intp)
+    col4row = np.full(nr, -1, dtype=np.intp)
+    row4col = np.full(nc, -1, dtype=np.intp)
+    for cur in range(nr):
+        short = np.full(nc, np.inf)
+        seen_rows = np.zeros(nr, dtype=bool)
+        seen_cols = np.zeros(nc, dtype=bool)
+        remaining = np.arange(nc - 1, -1, -1, dtype=np.intp)
+        live = nc
+        min_val = 0.0
+        i = cur
+        while True:
+            seen_rows[i] = True
+            rem = remaining[:live]
+            r = min_val + cost[i, rem] - u[i] - v[rem]
+            old = short[rem]
+            better = r < old
+            path[rem[better]] = i
+            costs = np.where(better, r, old)
+            short[rem] = costs
+            min_val = costs.min()
+            at = np.flatnonzero(costs == min_val)
+            free = at[row4col[rem[at]] < 0]
+            index = free[-1] if free.size else at[0]
+            j = remaining[index]
+            seen_cols[j] = True
+            live -= 1
+            remaining[index] = remaining[live]
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        # update the duals, then flip the path from the sink j back to cur
+        u[cur] += min_val
+        seen_rows[cur] = False
+        u[seen_rows] += min_val - short[col4row[seen_rows]]
+        v[seen_cols] -= min_val - short[seen_cols]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row
+
+
 def match_clusters(pred: np.ndarray, truth: np.ndarray,
                    ignore_truth_label_zero: bool = True) -> MatchReport:
     """Exact maximum-weight one-to-one matching of predicted vs truth clusters.
 
-    Solves the rectangular assignment on the IoU matrix; pairs whose IoU is
-    zero carry no correspondence and are reported as unmatched. Mean and
-    median are taken over matched pairs only.
+    Solves the rectangular assignment on the IoU matrix with Crouse's shortest
+    augmenting path algorithm (IEEE TAES 52(4), 2016), breaking ties as
+    scipy's ``linear_sum_assignment`` does, so the pairs equal scipy's. Pairs
+    whose IoU is zero carry no correspondence and are reported as unmatched.
+    Mean and median are taken over matched pairs only.
     """
-    # imported here: only matching needs scipy.optimize, and importing it
-    # with the package would slow every CLI start-up
-    from scipy.optimize import linear_sum_assignment
-
     pred, truth = _labelings(pred, truth)
     pred_ids = np.unique(pred)
     truth_ids = np.unique(truth)
     if ignore_truth_label_zero:
         truth_ids = truth_ids[truth_ids != 0]
     mat = _iou_matrix(pred, truth, truth_ids, pred_ids)
-    rows, cols = linear_sum_assignment(mat, maximize=True)
+    rows, cols = _max_assignment(mat)
     pairs = sorted(
         (int(pred_ids[r]), int(truth_ids[c]), float(mat[r, c]))
         for r, c in zip(rows, cols) if mat[r, c] > 0.0

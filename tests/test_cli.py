@@ -341,13 +341,31 @@ def test_public_names_are_pinned():
     ]
 
 
-def test_startup_does_not_import_scipy_optimize():
-    # only eval's matching needs scipy.optimize, and only a built index needs
-    # scipy.spatial; a command without them would pay their import
+def _scipy_loaded_after(code: str) -> str:
+    """Whether scipy.optimize and scipy.spatial are imported after a fresh
+    interpreter runs code, as the last line it prints."""
     src = str(Path(fieldcluster.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, fieldcluster.cli; "
-            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.spatial')])")
+    code += ("\nimport sys\n"
+             "print([m in sys.modules for m in ('scipy.optimize', 'scipy.spatial')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
-    assert out == "[False, False]\n"
+    return out.splitlines()[-1]
+
+
+def test_startup_does_not_import_scipy_optimize():
+    # only a built index needs scipy.spatial; a command without one would pay
+    # its import
+    assert _scipy_loaded_after("import fieldcluster.cli") == "[False, False]"
+
+
+@pytest.mark.parametrize("sweep, loaded", [
+    ([], "[False, False]"),
+    # the sweep clusters, so it builds an index; its matching still needs no scipy
+    (["--sweep-d", "0.1:0.2:0.05", "--algo", "zqs"], "[False, True]"),
+], ids=["match", "sweep"])
+def test_eval_does_not_import_scipy_optimize(small_field, sweep, loaded):
+    args = ["eval", str(small_field), str(small_field), *sweep]
+    code = ("from fieldcluster.cli import main\n"
+            f"main({args!r}, standalone_mode=False)")
+    assert _scipy_loaded_after(code) == loaded

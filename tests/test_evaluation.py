@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from fieldcluster import ContractError, CountReport, count_report, match_clusters
+from fieldcluster import (ContractError, CountReport, MatchReport, count_report,
+                          match_clusters)
+from fieldcluster.evaluation import _max_assignment
 from oracles import brute_best_matching_sum
 from references import iou, total_iou
 
@@ -73,8 +75,30 @@ class TestMatchClusters:
     def test_assignment_solver_matches_brute_force(self, seed):
         rng = np.random.default_rng(1000 + seed)
         mat = rng.random((rng.integers(1, 8), rng.integers(1, 8)))
-        rows, cols = linear_sum_assignment(mat, maximize=True)
+        rows, cols = _max_assignment(mat)
         assert mat[rows, cols].sum() == pytest.approx(brute_best_matching_sum(mat), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["uniform", "integers", "sparse", "zeros"])
+    def test_assignment_solver_equals_scipy(self, kind):
+        # scipy is the oracle: the same rows and cols, ties included, on 2,500
+        # matrices of each kind and their transposes (10,000 in all)
+        for seed in range(1250):
+            rng = np.random.default_rng(seed)
+            shape = tuple(rng.integers(1, 13, size=2))
+            if kind == "uniform":
+                mat = rng.random(shape)
+            elif kind == "integers":
+                mat = rng.integers(0, 3, size=shape).astype(np.float64)
+            elif kind == "sparse":
+                mat = np.where(rng.random(shape) < 0.7, 0.0,
+                               rng.integers(1, 10, size=shape) / 10)
+            else:
+                mat = np.zeros(shape)
+            for m in (mat, mat.T):
+                rows, cols = _max_assignment(m)
+                want_rows, want_cols = linear_sum_assignment(m, maximize=True)
+                assert rows.tolist() == want_rows.tolist(), (seed, m)
+                assert cols.tolist() == want_cols.tolist(), (seed, m)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetry(self, seed):
@@ -112,6 +136,16 @@ class TestMatchClusters:
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
             match_clusters(np.array([1, 2]), np.array([1]))
+
+    def test_empty_labelings(self):
+        # a 0 x 0 IoU matrix
+        report = match_clusters(np.empty(0, int), np.empty(0, int))
+        assert report == MatchReport(0, 0, (), 0.0, 0.0, (), ())
+
+    def test_all_ground_truth(self):
+        # every truth label is the ignored 0: an m x 0 IoU matrix
+        report = match_clusters(np.array([1, 1, 2, 5]), np.zeros(4, int))
+        assert report == MatchReport(3, 0, (), 0.0, 0.0, (1, 2, 5), ())
 
     def test_report_dict_is_stable(self):
         pred, truth = random_labelings(3, 40, 3, 3)
