@@ -152,9 +152,10 @@ def match_clusters(pred: np.ndarray, truth: np.ndarray,
 
     Solves the rectangular assignment on the IoU matrix with Crouse's shortest
     augmenting path algorithm (IEEE TAES 52(4), 2016), breaking ties as
-    scipy's ``linear_sum_assignment`` does, so the pairs equal scipy's. Pairs
-    whose IoU is zero carry no correspondence and are reported as unmatched.
-    Mean and median are taken over matched pairs only.
+    scipy's ``linear_sum_assignment`` does (the last free column at the lowest
+    path cost, else the first), so the pairs equal scipy's. Pairs whose IoU is
+    zero carry no correspondence and are reported as unmatched. Mean and
+    median are taken over matched pairs only.
     """
     pred, truth = _labelings(pred, truth)
     pred_ids = np.unique(pred)

@@ -80,7 +80,7 @@ class TestMatchClusters:
 
     @pytest.mark.parametrize("kind", ["uniform", "integers", "sparse", "zeros"])
     def test_assignment_solver_equals_scipy(self, kind):
-        # scipy is the oracle: the same rows and cols, ties included, on 2,500
+        # scipy is the oracle: the same rows and cols, ties included, on 1,250
         # matrices of each kind and their transposes (10,000 in all)
         for seed in range(1250):
             rng = np.random.default_rng(seed)
