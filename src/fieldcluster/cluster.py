@@ -73,6 +73,8 @@ class DensityField:
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         n = rho.shape[0]
+        if (self.index2d.n, self.index2d.points.shape[1]) != (n, 2):
+            raise ContractError(f"index2d must cover the {n} points of rho in 2D")
         with np.errstate(divide="ignore"):
             values = 1.0 / rho
         values.setflags(write=False)
@@ -166,10 +168,13 @@ def _check_beta(beta: float) -> None:
 
 def _check_sizes(cloud: PointCloud, **parts) -> None:
     """Raise ContractError unless every structure given (an index, a density
-    or a core set; None is skipped) covers exactly the cloud's points."""
+    or a core set; None is skipped) covers exactly the cloud's points, in 3D
+    for an index."""
     for name, part in parts.items():
         if part is not None and part.n != cloud.n:
             raise ContractError(f"{name} covers {part.n} points, cloud has {cloud.n}")
+        if name.startswith("index") and part is not None and part.points.shape[1] != 3:
+            raise ContractError(f"{name} covers points in {part.points.shape[1]}D, cloud in 3D")
 
 
 def _order_and_rank(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,13 +282,12 @@ def _sweep_edges(density: DensityField, workers: int):
     to itself: the window growth of ``nearest_below_rank`` with reach rho
     finds it, since an earlier j has rho_j <= rho_i and so a mutual j lies
     inside i's own ball. The links give the link trees, each rooted at its
-    earliest point. One radius scan of the 2D index,
-    ``directed_radius_lists``, then keeps, per owner, one entry per *other*
-    link tree among its earlier neighbors, first by (mutual, d^2, index);
-    it skips the candidates that no row of a block can keep. ``workers``
-    threads both. Neither keeps n * k entries, and the result does not
-    depend on the scan's order or threads. Returns ``(link, eoff, early,
-    mutual)``: owner i's entries are ``early[eoff[i]:eoff[i + 1]]``.
+    earliest point. One radius scan of the 2D index grouped by tree root,
+    ``directed_radius_lists``, then gives per owner the root of each *other*
+    link tree among its earlier neighbors, mutual iff one of them there is.
+    ``workers`` threads both. Neither keeps n * k entries, and the result
+    does not depend on the scan's order or threads. Returns ``(link, eoff,
+    early, mutual)``: owner i's entries are ``early[eoff[i]:eoff[i + 1]]``.
     """
     rho, rank = density.rho, density.sweep_rank
     link = _quickshift_parents(density.index2d.nearest_below_rank(rank, reach=rho,
@@ -306,20 +310,19 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     attach to existing cores instead of nucleating new ones. Components that
     never lock mid-sweep freeze in full when the sweep ends.
 
-    The step of point p reads only what ``_sweep_edges`` keeps: p's link
-    and one earlier neighbor per other link tree. That is exact because links
-    point to earlier points and fire at their owner's step: when p is swept,
-    every swept point of a link tree has merged with its link, and so,
-    link by link, with the tree's root. So all swept points of a tree lie in
-    one component, and any one of them stands for the rest: merging with one
-    mutual entry of a tree merges with every mutual neighbor of p in it, and
-    p's own tree joins p's component through p's link alone. The absorption
-    test asks ``locked[find(j)]`` of the non-mutual entries only: a tree with
-    a mutual entry has just merged into p's own, unlocked, component. The
-    merged sets, modes and lock states are those of the full mutual graph,
-    whatever the scan's order. ``workers`` threads the window growth of the
-    links and the entry scan (-1: one per CPU); the result does not depend
-    on it.
+    The step of point p reads only what ``_sweep_edges`` keeps: p's link and
+    the root of each other link tree among p's earlier neighbors, mutual iff
+    one of them there is. That is exact because links point to earlier
+    points and fire at their owner's step: a root is its tree's earliest
+    point, and when p is swept, every swept point of a tree has merged with
+    its link, and so, link by link, with the root. So a mutual root stands
+    for every mutual neighbor of p in its tree, and p's own tree joins p's
+    component through p's link alone. The absorption test asks
+    ``locked[find(j)]`` of the non-mutual roots only: a tree with a mutual
+    neighbor has just merged into p's own, unlocked, component. The merged
+    sets, modes and lock states are those of the full mutual graph, whatever
+    the scan's order. ``workers`` threads the window growth of the links and
+    the entry scan (-1: one per CPU); the result does not depend on it.
 
     Locking needs no heap: a pointer ``due`` walks the sweep order behind the
     current step. The lock threshold (1 - beta) * density never rises along

@@ -19,7 +19,7 @@ its answer off the exact squared distances from the block to those
 candidates. The k-NN radius and the (k+2)-point windows of the density
 (``knn_window``) are order statistics of them; ``radius_scan`` hands them to
 the caller's step, which filters them and keeps only what it needs: the
-quickshift++ core sweep one entry per other link tree in its k-NN balls
+quickshift++ core sweep one key per other link tree in its k-NN balls
 (``directed_radius_lists``, which first drops the candidates that no row of
 a block can keep), the lowest-rank-in-ball search (``argmin_rank_in_ball``)
 the lowest rank strictly inside d. All are exact with ties and duplicates,
@@ -282,18 +282,21 @@ class SpatialIndex:
 
     def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray, group: np.ndarray, *,
                               workers: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR lists of the earlier neighbors within each point's own radius,
-        {j : rank[j] < rank[i], dist^2(i, j) <= rho[i]}, cut to one per group
-        other than i's own: the first by (mutual, d^2, index), mutual meaning
-        dist^2(i, j) <= rho[j] as well. Returns (offsets, flat, mutual), rows
+        """CSR lists of the groups other than i's own among i's earlier
+        neighbors within its own radius, {j : rank[j] < rank[i], dist^2(i, j)
+        <= rho[i]}, each mutual iff one of those j in it has dist^2(i, j) <=
+        rho[j] as well. Returns (offsets, flat, mutual), rows and groups
         ascending. A ``radius_scan``: the result does not depend on its order
         or threads, and with one group per point it is the full lists.
 
-        Before the d^2, each block drops the candidates that none of its rows
-        can keep: those not earlier than the block's latest row and, when
-        every row lies in one group, those of that group.
+        An entry is one int64 key, (i * n + g) * 2 + 1 unless mutual, which
+        fits for n < 2^31: the one chunk holding row i keeps its least key per
+        g, and one sort orders them all. Before the d^2, each block drops the
+        candidates that none of its rows can keep: those not earlier than its
+        latest row and, when every row lies in one group, those of that group.
         """
-        pieces = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, bool))]
+        n = self.n
+        keys = [np.empty(0, np.int64)]
 
         def keep(rows, cand):
             ok = rank[cand] < rank[rows].max()
@@ -309,21 +312,15 @@ class SpatialIndex:
             # few entries cross a group: test their order after the matrix
             earlier = rank[cand[c]] < rank[sub[r]]
             r, c = r[earlier], c[earlier]
-            j, dd = cand[c], d2[r, c]
-            g, far = group[j], dd > rho[j]
-            # first of each (row, group) run: mutual, then nearest, then lowest index
-            pick = np.lexsort((j, dd, far, g, r))
-            r, j, g, far = r[pick], j[pick], g[pick], far[pick]
-            first = np.ones(r.size, dtype=bool)
-            first[1:] = (r[1:] != r[:-1]) | (g[1:] != g[:-1])
-            pieces.append((sub[r[first]], j[first], ~far[first]))
+            j = cand[c]
+            key = np.unique((sub[r] * n + group[j]) * 2 + (d2[r, c] > rho[j]))
+            keys.append(key[np.diff(key >> 1, prepend=-1) != 0])
 
         self.radius_scan(rho, step, keep=keep, workers=workers)
-        owner, flat, mutual = (np.concatenate(part) for part in zip(*pieces))
-        order = np.lexsort((flat, owner))
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=self.n), out=offsets[1:])
-        return offsets, flat[order], mutual[order]
+        key = np.sort(np.concatenate(keys))
+        owner, flat = np.divmod(key >> 1, n)
+        offsets = np.searchsorted(owner, np.arange(n + 1))
+        return offsets, flat, (key & 1) == 0
 
     # ------------------------------------------------- rank-directed queries
 

@@ -80,7 +80,7 @@ def slow_sweep_entries(points: np.ndarray, k: int) -> list[list[tuple[int, bool]
     """The core sweep's entries by definition, per point a sorted list of
     (j, mutual): its link, the nearest (by d^2, index) mutual earlier neighbor
     within its own k-NN radius, and, per other link tree among its earlier
-    neighbors, the one first by (mutual, d^2, index)."""
+    neighbors, that tree's root, mutual iff any of those neighbors is."""
     n = len(points)
     rho = slow_density(points, k)
     D2 = sq_dist_matrix(points[:, :2])
@@ -99,12 +99,10 @@ def slow_sweep_entries(points: np.ndarray, k: int) -> list[list[tuple[int, bool]
 
     rows = []
     for i in range(n):
-        best = {}
+        entries = {}
         for j in earlier[i]:
-            key = (D2[i, j] > rho[j], D2[i, j], j)
-            if root(j) != root(i) and key < best.get(root(j), (True, np.inf, n)):
-                best[root(j)] = key
-        entries = {j: not far for far, _, j in best.values()}
+            if root(j) != root(i):
+                entries[root(j)] = entries.get(root(j), False) or bool(D2[i, j] <= rho[j])
         if link[i] != i:
             entries[link[i]] = True
         rows.append(sorted(entries.items()))

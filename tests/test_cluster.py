@@ -131,8 +131,8 @@ class TestKnnDensity:
                 Params("gdqspp", k=k, beta=0.3).validate()
 
     def test_parent_rank_ties_finite_and_orders_coincident_by_index(self):
-        dens = knn_density_2d(LINE4, 2)
-        field = DensityField(rho=[0.5, 0.0, 0.2, 0.5, 0.0], k=2, index2d=dens.index2d)
+        index2d = SpatialIndex(np.zeros((5, 2)))
+        field = DensityField(rho=[0.5, 0.0, 0.2, 0.5, 0.0], k=2, index2d=index2d)
         # the order of the ranks 3, 0, 2, 3, 1: equal finite rho tie, and
         # coincident points 1 and 4 come first, by index
         want = np.array([3, 0, 2, 3, 1])
@@ -365,7 +365,8 @@ class TestGdqsppAssign:
 
 
 class TestPrebuiltSizes:
-    """A prebuilt index passed in must cover exactly the cloud's points."""
+    """A prebuilt index passed in must cover exactly the cloud's points, in 3D,
+    and a density's own index exactly its points, in 2D."""
 
     CLOUD = PointCloud(make_cloud(5, 50))
 
@@ -379,6 +380,23 @@ class TestPrebuiltSizes:
         cores = extract_cores(self.CLOUD, dens, 4, 0.3)
         with pytest.raises(ContractError, match="index3 covers 30 points, cloud has 50"):
             gdqspp_assign(self.CLOUD, dens, cores, index3=SpatialIndex(make_cloud(6, 30)))
+
+    @pytest.mark.parametrize("parents", [rain_parents, zqs_parents])
+    def test_2d_index_rejected(self, parents):
+        with pytest.raises(ContractError, match="index covers points in 2D, cloud in 3D"):
+            parents(self.CLOUD, 0.5, index=SpatialIndex(self.CLOUD.points[:, :2]))
+
+    def test_2d_index3_rejected(self):
+        dens = knn_density_2d(self.CLOUD, 4)
+        cores = extract_cores(self.CLOUD, dens, 4, 0.3)
+        with pytest.raises(ContractError, match="index3 covers points in 2D, cloud in 3D"):
+            gdqspp_assign(self.CLOUD, dens, cores, index3=SpatialIndex(self.CLOUD.points[:, :2]))
+
+    def test_index2d_of_other_dimension_or_size_rejected(self):
+        rho = knn_density_2d(self.CLOUD, 4).rho
+        for index2d in (SpatialIndex(self.CLOUD.points), SpatialIndex(make_cloud(6, 30, dims=2))):
+            with pytest.raises(ContractError, match="index2d must cover the 50 points of rho in 2D"):
+                DensityField(rho=rho, k=4, index2d=index2d)
 
 
 class TestForestToLabels:

@@ -1,11 +1,12 @@
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fieldcluster import DataError, DensityField, ParameterError, PointCloud, SpatialIndex, spatial
-from fieldcluster.cluster import _sweep_edges, rain_parents
+from fieldcluster import DataError, ParameterError, PointCloud, SpatialIndex, spatial
+from fieldcluster.cluster import _order_and_rank, _sweep_edges, rain_parents
 from brute_index import BruteIndex
 from conftest import make_cloud, make_cloud_with_stems
 from oracles import brute_kth_sq, slow_rain_parents, sq_dist_matrix
@@ -17,8 +18,10 @@ IDENTITY3 = np.arange(3)
 
 def sweep_edges(index, rho, workers=1):
     """The core sweep's links and entries (link, eoff, early, mutual) over
-    ``index`` under rho (``_sweep_edges`` does not read k)."""
-    return _sweep_edges(DensityField(rho=rho, k=1, index2d=index), workers)
+    ``index``, 2D or 3D, under rho: ``_sweep_edges`` reads only these three
+    fields of a density, whose own index must be 2D."""
+    density = SimpleNamespace(rho=rho, sweep_rank=_order_and_rank(rho)[1], index2d=index)
+    return _sweep_edges(density, workers)
 
 
 def assert_same_bytes(got, want):
@@ -260,26 +263,37 @@ def check_radius_scan(idx, D2, rho):
     assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(len(rho)))
 
 
-def check_directed_lists(idx, D2, rho):
-    """directed_radius_lists with one group per point against the dense
-    matrix: every earlier neighbor within rho[i], ascending, mutual ones
-    marked; with two groups, each row's first entry of the other group."""
+def check_directed_lists(idx, D2, rho, workers=1):
+    """directed_radius_lists against the dense matrix: with one group per
+    point, every earlier neighbor within rho[i], ascending, mutual ones
+    marked; with two and three groups, the other groups among those
+    neighbors, ascending, each mutual iff one of its neighbors is. Returns
+    the number of rows with several groups and of (row, group) pairs with
+    both mutual and other neighbors, at three groups."""
     n = len(rho)
     rank = np.random.default_rng(n).permutation(n)
-    offsets, flat, mutual = idx.directed_radius_lists(rho, rank, np.arange(n))
+    offsets, flat, mutual = idx.directed_radius_lists(rho, rank, np.arange(n), workers=workers)
     assert offsets.dtype == flat.dtype == np.int64 and mutual.dtype == bool
     for i in range(n):
         want = np.flatnonzero((D2[i] <= rho[i]) & (rank < rank[i]))
         assert flat[offsets[i]:offsets[i + 1]].tolist() == want.tolist()
         assert mutual[offsets[i]:offsets[i + 1]].tolist() == (D2[i, want] <= rho[want]).tolist()
-    group = np.arange(n) % 2
-    offsets, flat, mutual = idx.directed_radius_lists(rho, rank, group)
-    for i in range(n):
-        cand = np.flatnonzero((D2[i] <= rho[i]) & (rank < rank[i]) & (group != group[i]))
-        want = min(((D2[i, j] > rho[j], D2[i, j], j) for j in cand), default=None)
-        got = list(zip(flat[offsets[i]:offsets[i + 1]].tolist(),
-                       mutual[offsets[i]:offsets[i + 1]].tolist()))
-        assert got == ([] if want is None else [(want[2], not want[0])])
+    for groups in (2, 3):
+        group = np.arange(n) % groups
+        offsets, flat, mutual = idx.directed_radius_lists(rho, rank, group, workers=workers)
+        several = mixed = 0
+        for i in range(n):
+            near = np.flatnonzero((D2[i] <= rho[i]) & (rank < rank[i]) & (group != group[i]))
+            near_mutual = D2[i, near] <= rho[near]
+            gs = np.unique(group[near])
+            per_group = [near_mutual[group[near] == g] for g in gs]
+            want = [(int(g), bool(m.any())) for g, m in zip(gs, per_group)]
+            got = list(zip(flat[offsets[i]:offsets[i + 1]].tolist(),
+                           mutual[offsets[i]:offsets[i + 1]].tolist()))
+            assert got == want
+            several += len(want) > 1
+            mixed += sum(m.any() and not m.all() for m in per_group)
+    return several, mixed
 
 
 class TestBlockScan:
@@ -382,6 +396,23 @@ class TestBlockScan:
         monkeypatch.setattr(spatial, "_CHUNK_ELEMS", 100)
         pts = make_cloud(57, 200, dims=2)
         check_knn_window(pts, (1, 16, 60))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_directed_lists_split_a_block_on_lattice_ties(self, workers, monkeypatch):
+        # chunks of a few rows, one block per thread task, and lattice points
+        # whose d^2 tie with each other and with rho: rows keep several
+        # groups, and some groups hold both mutual and other neighbors
+        monkeypatch.setattr(spatial, "_CHUNK_ELEMS", 1000)
+        monkeypatch.setattr(spatial, "_GROUP", 1)
+        rng = np.random.default_rng(59)
+        sites = rng.integers(0, 12, size=(400, 2))
+        pts = np.concatenate([sites, sites[rng.integers(0, 400, size=80)]]).astype(np.float64)
+        idx = SpatialIndex(pts)
+        D2 = sq_dist_matrix(pts)
+        for k in (4, 12, 30):
+            rho, _ = idx.knn_window(k)
+            several, mixed = check_directed_lists(idx, D2, rho, workers)
+            assert several > 0 and mixed > 0
 
 
 class TestColumnSquaredDistance:
