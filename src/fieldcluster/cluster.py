@@ -454,92 +454,66 @@ def forest_to_labels(forest: ParentForest) -> np.ndarray:
     return _renumber_first_appearance(_resolve_to_fixpoint(forest.parent) + 1)
 
 
-def _need_two_points(algo: str, n: int) -> None:
-    if n < 2:
-        raise DataError(f"algorithm {algo!r} needs at least 2 points, got {n}")
-
-
-def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
-                   k: int | None = None, workers: int = 1) -> Iterator[np.ndarray]:
-    """Yield the labels of ``rain``, ``zqs`` or ``gdqs`` for each d of ``ds`` in
-    order, each equal to ``cluster(cloud, Params(algorithm, d=d, k=k), workers)``.
-
-    What does not depend on d is built once, at the first d: the 3D index of
-    ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``. ``zqs`` and
-    ``gdqs`` also make one nearest-below-rank query for the whole sweep, at
-    its largest d (``inf`` is uncapped): the nearest lower-ranked point, by
-    (d^2, index), within the largest ball is the nearest within a smaller
-    one if it lies inside it, and otherwise no lower-ranked point does. So
-    each d's parents are the found links shorter than d, on the exact d^2
-    that the query itself compares. Each d's ``Params`` is built, and so
-    checked, just before its labels are computed, so errors surface at the
-    same d as with one ``cluster`` call per d.
-    """
-    ds = list(ds)
-    n = cloud.n
-    index = links = None
-    for d in ds:
-        params = Params(algorithm, d=d, k=k)
-        if n == 0:
-            yield np.empty(0, dtype=np.int64)
-        elif algorithm == "rain":
-            if index is None:
-                index = SpatialIndex(cloud.points)
-            yield forest_to_labels(rain_parents(cloud, params.d, index=index, workers=workers))
-        else:
-            if links is None:
-                links = _links_and_d2(cloud, algorithm, _sweep_radius(ds), k, workers)
-            parent, d2 = links
-            # a root's d^2 is 0, so it stays a root at every d
-            yield forest_to_labels(ParentForest(np.where(d2 < params.d * params.d,
-                                                         parent, np.arange(n))))
-
-
-def _sweep_radius(ds: list) -> float:
-    """The largest d that a sweep labels: the maximum of ``ds``, by d*d as
-    each query caps its ball, up to the first d that fails its check, where
-    the sweep raises. ds[0] is valid."""
-    top = ds[0]
-    for d in ds[1:]:
-        try:
-            _check_d(d)
-        except (ParameterError, TypeError):
-            break
-        top = max(top, d, key=lambda v: v * v)
-    return top
-
-
-def _links_and_d2(cloud: PointCloud, algorithm: str, d: float, k: int | None,
-                  workers: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``zqs`` or ``gdqs`` parents at d, with the exact d^2 from each
-    point to its parent, summed as the query sums it (0 at a root)."""
-    if algorithm == "gdqs":
-        _need_two_points(algorithm, cloud.n)
-        parent = gdqs_parents(cloud, d, knn_density_2d(cloud, k, workers=workers),
-                              workers=workers).parent
-        points = cloud.points[:, :2]
-    else:
-        parent = zqs_parents(cloud, d, workers=workers).parent
-        points = cloud.points
-    d2 = _sq_dist_cols(tuple(points.T), parent[:, None], np.arange(cloud.n))
-    return parent, d2[:, 0]
-
-
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input, parameters, and any ``workers``, which
     threads the block scans (the k-NN density, the entry scan of the
     ``gdqspp`` core sweep and the radius scan of ``rain``) and the tree
     queries of the nearest-below-rank search (``zqs``, ``gdqs``, and the
-    links of the ``gdqspp`` core sweep and its climb). ``rain``, ``zqs`` and
-    ``gdqs`` run as a one-value ``cluster_over_d`` at ``params.d``, which
-    makes one query."""
-    if params.algorithm != "gdqspp":
-        return next(cluster_over_d(cloud, params.algorithm, [params.d], params.k, workers))
-    n = cloud.n
+    links of the ``gdqspp`` core sweep and its climb). It is the one-run case
+    of the generator behind ``cluster_over_d``."""
+    return next(_labels(cloud, [params], workers))
+
+
+def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
+                   k: int | None = None, workers: int = 1) -> Iterator[np.ndarray]:
+    """Return an iterator over the labels of ``rain``, ``zqs`` or ``gdqs`` for
+    each d of ``ds`` in order, each equal to ``cluster(cloud,
+    Params(algorithm, d=d, k=k), workers)``. Every d's ``Params`` is built,
+    and so checked, by this call: a bad algorithm, d or k raises here, before
+    any index or density is built.
+
+    What does not depend on d is built once, at the first labels: the 3D
+    index of ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``.
+    ``zqs`` and ``gdqs`` make one nearest-below-rank query for the whole
+    sweep, at its largest d by d*d (``inf`` is uncapped): the nearest
+    lower-ranked point, by (d^2, index), within the largest ball is the
+    nearest within a smaller one if it lies inside it, and otherwise no
+    lower-ranked point does. So each d's parents are the found links shorter
+    than d, on the exact d^2 that the query itself compares."""
+    return _labels(cloud, [Params(algorithm, d=d, k=k) for d in ds], workers)
+
+
+def _labels(cloud: PointCloud, runs: list[Params], workers: int) -> Iterator[np.ndarray]:
+    """Yield the labels of each ``Params`` of ``runs``, which share one
+    algorithm and one k, building what does not depend on d or beta once."""
+    if not runs:
+        return
+    algo, k, n = runs[0].algorithm, runs[0].k, cloud.n
     if n == 0:
-        return np.empty(0, dtype=np.int64)
-    _need_two_points(params.algorithm, n)
-    density = knn_density_2d(cloud, params.k, workers=workers)
-    cores = extract_cores(cloud, density, params.k, params.beta, workers=workers)
-    return gdqspp_assign(cloud, density, cores, workers=workers)
+        yield from (np.empty(0, dtype=np.int64) for _ in runs)
+    elif n == 1 and k is not None:
+        raise DataError(f"algorithm {algo!r} needs at least 2 points, got 1")
+    elif algo == "gdqspp":
+        density = knn_density_2d(cloud, k, workers=workers)
+        for p in runs:
+            cores = extract_cores(cloud, density, k, p.beta, workers=workers)
+            yield gdqspp_assign(cloud, density, cores, workers=workers)
+    elif algo == "rain":
+        index = SpatialIndex(cloud.points)
+        for p in runs:
+            yield forest_to_labels(rain_parents(cloud, p.d, index=index, workers=workers))
+    else:
+        d = max((p.d for p in runs), key=lambda d: d * d)
+        if algo == "gdqs":
+            parent = gdqs_parents(cloud, d, knn_density_2d(cloud, k, workers=workers),
+                                  workers=workers).parent
+            points = cloud.points[:, :2]
+        else:
+            parent = zqs_parents(cloud, d, workers=workers).parent
+            points = cloud.points
+        # the exact d^2 from each point to its parent, summed as the query sums it
+        d2 = _sq_dist_cols(tuple(points.T), parent[:, None], np.arange(n))[:, 0]
+        for p in runs:
+            # a root's d^2 is 0, so it stays a root at every d
+            yield forest_to_labels(ParentForest(np.where(d2 < p.d * p.d, parent, np.arange(n))))

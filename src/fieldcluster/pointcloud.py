@@ -200,7 +200,8 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
     Both encodings yield one record per vertex, each property in its declared
     type (see ``_vertex_dtype``). Labels are populated when the vertex element
     carries an integer ``label`` property (takes precedence) or red/green/blue
-    colors; colors decode via the exact palette inverse, or
+    colors of an integer type, each in 0..255 (``PlyError`` otherwise, naming
+    the first bad vertex); colors decode via the exact palette inverse, or
     one-label-per-unique-color when ``color_mode="distinct"``. Unknown scalar
     properties are skipped.
     """
@@ -246,12 +247,26 @@ def load_ply(path, color_mode: str = "palette") -> PointCloud:
     if "label" in dtype.names and dtype["label"].kind in "iu":
         labels = rec["label"]
     elif {"red", "green", "blue"} <= set(dtype.names):
-        rgb = np.column_stack([rec[c].astype(np.uint8) for c in ("red", "green", "blue")])
-        labels = labels_for_colors(rgb, mode=color_mode)
+        labels = labels_for_colors(_colors(rec, path), mode=color_mode)
     try:
         return PointCloud(points, labels)
     except DataError as exc:  # a non-finite coordinate or a negative label
         raise DataError(f"{path}: {exc}") from None
+
+
+def _colors(rec: np.ndarray, path: Path) -> np.ndarray:
+    """(n, 3) uint8 colors from the red, green and blue channels: uchar ones as
+    they are, any other only if it has an integer type and values in 0..255."""
+    channels = [rec[c] for c in ("red", "green", "blue")]
+    bad = False
+    for col in channels:
+        if col.dtype != np.uint8:
+            bad = bad | ~((col >= 0) & (col <= 255) & (col.dtype.kind in "iu"))
+    if np.any(bad):
+        i = int(bad.argmax())
+        raise PlyError(f"{path}: vertex {i} has color ({', '.join(str(c[i]) for c in channels)});"
+                       " colors must be integer properties in 0..255")
+    return np.column_stack([col.astype(np.uint8, copy=False) for col in channels])
 
 
 def _parse_ascii_rows(rows: list[str], dtype: np.dtype, path: Path) -> np.ndarray:

@@ -64,7 +64,12 @@ _CHUNK_ELEMS = 4_400_000
 # blocks of 64 the gdqspp core sweep's radius scans (then two, for its links
 # and its entries) took 0.9 s on the reference field at k = 64, against 1.2 s
 # with blocks of 32 and 1.1-1.4 s with 128, and about as long as either at
-# k = 500 and 1200 (two runs each)
+# k = 500 and 1200 (two runs each). The density keeps 32 for its memory: with
+# blocks of 64, knn_window gave the same rho and was no slower at two threads
+# (k = 500: 0.82-0.87 s against 0.87-1.03 s; k = 1200: 1.30-1.39 s against
+# 1.53-1.70 s), but the CLI's max RSS rose, in 3 alternated pairs, from
+# 124-125 to 131-133 MiB for gdqspp at k = 500 and from 107-113 to 121-122 MiB
+# for a gdqs eval --sweep-d
 _BLOCK = 32
 _RADIUS_BLOCK = 64
 _GROUP = 64

@@ -611,18 +611,36 @@ class TestClusterOverD:
         # the radii cut different links, so the check sees them
         assert len({lab.max() for lab in swept}) > 1
 
+    @staticmethod
+    def spy_builds(monkeypatch):
+        """Record every index build and k-NN scan from here on."""
+        calls = []
+        for method in ("__init__", "knn_window"):
+            def spy(self, *args, _original=getattr(SpatialIndex, method), _name=method,
+                    **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(SpatialIndex, method, spy)
+        return calls
+
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), 1e-200])
     @pytest.mark.parametrize("algo,k", [("rain", None), ("zqs", None), ("gdqs", 8)])
-    def test_invalid_d_raises_at_its_turn(self, algo, k, bad):
+    def test_invalid_d_raises_at_the_call(self, monkeypatch, algo, k, bad):
         cloud = PointCloud(make_cloud(32, 300))
-        sweep = cluster_over_d(cloud, algo, (0.3, 0.15, bad, 0.5), k)
-        assert np.array_equal(next(sweep), cluster(cloud, Params(algo, d=0.3, k=k)))
-        assert np.array_equal(next(sweep), cluster(cloud, Params(algo, d=0.15, k=k)))
+        calls = self.spy_builds(monkeypatch)
         with pytest.raises(ParameterError) as swept:
-            next(sweep)
+            cluster_over_d(cloud, algo, (0.3, 0.15, bad, 0.5), k)
         with pytest.raises(ParameterError) as once:
-            cluster(cloud, Params(algo, d=bad, k=k))
+            Params(algo, d=bad, k=k)
         assert str(swept.value) == str(once.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("algo", ["rain", "zqs", "gdqs"])
+    def test_empty_sweep_yields_and_builds_nothing(self, monkeypatch, algo):
+        cloud = PointCloud(make_cloud(32, 300))
+        calls = self.spy_builds(monkeypatch)
+        assert list(cluster_over_d(cloud, algo, [])) == []
+        assert calls == []
 
     def test_edge_cases_match_cluster(self):
         empty = PointCloud(np.empty((0, 3)))

@@ -372,6 +372,53 @@ class TestPlyLoader:
             "4 0 0 0 0 0\n")
         assert load_ply(path, color_mode="distinct").labels.tolist() == [1, 0, 2, 1, 0]
 
+    @staticmethod
+    def write_colored(path, ply_type, colors, binary):
+        """A PLY file with one vertex per color, at x = 0, 1, ..., whose red,
+        green and blue properties have the type ply_type."""
+        rgb = ("red", "green", "blue")
+        code = {"uchar": "u1", "ushort": "<u2", "short": "<i2", "float": "<f4"}[ply_type]
+        rec = np.zeros(len(colors), dtype=[(c, "<f8") for c in "xyz"] + [(c, code) for c in rgb])
+        rec["x"] = np.arange(len(colors))
+        for c, column in zip(rgb, np.array(colors).T):
+            rec[c] = column
+        header = (f"ply\nformat {'binary_little_endian' if binary else 'ascii'} 1.0\n"
+                  f"element vertex {len(colors)}\n" + XYZ.replace("float", "double")
+                  + "".join(f"property {ply_type} {c}\n" for c in rgb) + "end_header\n")
+        if binary:
+            path.write_bytes(header.encode() + rec.tobytes())
+        else:
+            path.write_text(header + "".join(" ".join(map(repr, row)) + "\n"
+                                             for row in rec.tolist()))
+        return path
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    @pytest.mark.parametrize("ply_type, bad, shown", [("ushort", 300, "300"),
+                                                      ("short", -1, "-1")])
+    def test_colors_outside_uchar_range_rejected(self, tmp_path, binary, ply_type, bad, shown):
+        colors = [(1, 2, 3), (9, 9, bad), (bad, 0, 0)]
+        path = self.write_colored(tmp_path / "wide.ply", ply_type, colors, binary)
+        with pytest.raises(PlyError) as exc:
+            load_ply(path)
+        assert str(exc.value) == (f"{path}: vertex 1 has color (9, 9, {shown}); "
+                                  "colors must be integer properties in 0..255")
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_float_colors_rejected(self, tmp_path, binary):
+        path = self.write_colored(tmp_path / "float.ply", "float", [(0.5, 0.25, 1.0)], binary)
+        with pytest.raises(PlyError, match=r"vertex 0 has color \(0\.5, 0\.25, 1\.0\); colors must"
+                                           r" be integer properties in 0\.\.255"):
+            load_ply(path)
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_ushort_colors_in_range_decode_like_uchar(self, tmp_path, rng, binary):
+        colors = rng.integers(0, 256, size=(40, 3))
+        colors[:2] = [(0, 0, 0), (255, 255, 255)]
+        wide = load_ply(self.write_colored(tmp_path / "u2.ply", "ushort", colors, binary))
+        narrow = load_ply(self.write_colored(tmp_path / "u1.ply", "uchar", colors, binary))
+        assert np.array_equal(wide.labels, narrow.labels)
+        assert np.array_equal(wide.labels, [color_to_label(c) for c in colors.tolist()])
+
     def test_binary_float32_coordinates(self, tmp_path):
         rec = np.zeros(3, dtype=np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4")]))
         rec["x"] = [0.5, 1.5, 2.5]
