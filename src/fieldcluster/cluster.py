@@ -310,35 +310,43 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     attach to existing cores instead of nucleating new ones. Components that
     never lock mid-sweep freeze in full when the sweep ends.
 
-    The step of point p reads only what ``_sweep_edges`` keeps: p's link and
-    the root of each other link tree among p's earlier neighbors, mutual iff
-    one of them there is. That is exact because links point to earlier
-    points and fire at their owner's step: a root is its tree's earliest
-    point, and when p is swept, every swept point of a tree has merged with
-    its link, and so, link by link, with the root. So a mutual root stands
-    for every mutual neighbor of p in its tree, and p's own tree joins p's
-    component through p's link alone. The absorption test asks
-    ``locked[find(j)]`` of the non-mutual roots only: a tree with a mutual
-    neighbor has just merged into p's own, unlocked, component. The merged
-    sets, modes and lock states are those of the full mutual graph, whatever
-    the scan's order. ``workers`` threads the window growth of the links and
-    the entry scan (-1: one per CPU); the result does not depend on it.
+    The union-find works on link trees, not on single points: its parent
+    pointers start as the links, so each link tree is one set from the
+    start, rooted at its earliest point. The step of point p reads only what
+    ``_sweep_edges`` keeps: the root of each other link tree among p's
+    earlier neighbors, mutual iff one of them there is. That is exact
+    because links point to earlier points: from its step on, a point's
+    component is its link tree's component. So a mutual root stands for
+    every mutual neighbor of p in its tree, and a step without entries only
+    locks what has come due. A merge keeps the earlier root, so the root of
+    a component is its mode. A locked entry, mutual or within p's own k-NN
+    radius, locks p's component, and an unlocked mutual entry of a locked
+    component is locked with it; the two are not merged, because merging
+    locked components changes no snapshot. The merged sets, modes and lock
+    states are those of the full mutual graph, whatever the scan's order.
+    ``workers`` threads the window growth of the links and the entry scan
+    (-1: one per CPU); the result does not depend on it.
 
     Locking needs no heap: a pointer ``due`` walks the sweep order behind the
     current step. The lock threshold (1 - beta) * density never rises along
     the sweep (float multiplication by a constant >= 0 is monotone), so the
     points whose threshold the level has crossed form a prefix of it. A
     component's mode is its first point in sweep order, so the first due
-    point of a component is its mode: a due point that finds its component
-    unlocked locks it, and cores come out densest mode first. Walking the
-    rest of the order at the end locks the leftover components in the same
-    order. Infinite-density modes (coincident projections) lock when the
-    sweep reaches finite densities; with beta == 0 every swept infinite
-    point is due at once, which locks each such mode right after its step.
-    With beta == 1 the threshold is 0 (NaN for infinite densities) and
-    nothing comes due. A point absorbed by a locked neighbor marks its own
-    component locked instead of joining that neighbor's: merging two locked
-    components changes no snapshot, so which one takes the point is moot.
+    point of a component is its mode: a due point that is the root of an
+    unlocked component locks it as a core, and records the step at its
+    root. The components still unlocked when the sweep ends lock then.
+    Infinite-density modes (coincident projections) lock when the sweep
+    reaches finite densities; with beta == 0 every swept infinite point is
+    due at once, which locks each such mode right after its step. With
+    beta == 1 the threshold is 0 (NaN for infinite densities) and nothing
+    comes due.
+
+    The members are read off at the end. A core's set is never merged after
+    its lock, so it holds the link trees of its snapshot, and a point of
+    those trees is a member iff it was swept before the lock's step. A tree
+    whose component locked without a core (by absorption, or with a locked
+    mutual entry) gives no member. Modes lock in sweep order, so cores come
+    out densest mode first.
     """
     _check_beta(beta)
     if density.k != k:
@@ -346,16 +354,12 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     _check_sizes(cloud, density=density)
     n = cloud.n
     link, eoff, early, mutual = _sweep_edges(density, workers)
-    parent = list(range(n))
-    # member lists only for roots that merged while unlocked, and the sizes
-    # that union by size reads: a list per point gave the garbage collector
-    # n more objects to walk, and 1 to 3 full collections per sweep of
-    # 100,000 to 400,000 points in a process that held many other objects
-    size = [1] * n
-    members: dict[int, list[int]] = {}
-    locked = [False] * n
-    core_members: list[np.ndarray] = []
-    core_modes: list[int] = []
+    parent = link.tolist()
+    rank = density.sweep_rank.tolist()
+    # the roots of the unlocked components, and at each core's mode the step
+    # of its lock
+    unlocked = set(np.flatnonzero(link == np.arange(n)).tolist())
+    until = np.zeros(n, dtype=np.int64)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -363,58 +367,49 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
             x = parent[x]
         return x
 
-    def lock(m: int) -> None:
-        r = find(m)
-        if not locked[r]:
-            locked[r] = True
-            core_members.append(np.asarray(sorted(members.get(r, (r,))), dtype=np.int64))
-            core_modes.append(m)
-
-    def union(ra: int, rb: int) -> None:
-        if ra == rb:
-            return
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        if not (locked[ra] or locked[rb]):
-            size[ra] += size[rb]
-            members.setdefault(ra, [ra]).extend(members.pop(rb, (rb,)))
-        locked[ra] = locked[ra] or locked[rb]
-
     inf = float("inf")
     keep = 1.0 - beta
-    # indexed by step, not by point, so that the loop reads them in sequence:
-    # at 400,000 points the sweep took 0.86-1.12 s against 1.12-1.44 s when
-    # it read them by point, whose order in memory the sweep visits at random
+    # indexed by step, not by point, so that the loop reads them in sequence
     order = density.sweep_order
-    vals = density.values[order].tolist()
-    link = link[order].tolist()
-    lo, hi = eoff[:-1][order].tolist(), eoff[1:][order].tolist()
-    order = order.tolist()
-    early = early.tolist()
-    mutual = mutual.tolist()
+    vals, lo, hi = (a[order].tolist() for a in (density.values, eoff[:-1], eoff[1:]))
+    order, early, mutual = order.tolist(), early.tolist(), mutual.tolist()
     due = 0
     for t in range(n):
-        p = order[t]
-        lam = vals[t]
         # (a) lock components whose relative threshold the level has crossed
-        while due < t and (keep * vals[due] > lam or beta == 0.0 and vals[due] == inf):
-            lock(order[due])
+        while due < t and (keep * vals[due] > vals[t] or beta == 0.0 and vals[due] == inf):
+            m = order[due]
+            if m in unlocked:
+                unlocked.remove(m)
+                until[m] = t
             due += 1
-        # (b) merge the point's component with its link and mutual entries
-        union(find(p), find(link[t]))
-        row = range(lo[t], hi[t])
-        for e in row:
-            if mutual[e]:
-                union(find(p), find(early[e]))
-        # (c) absorb into a locked component reachable within own k-NN radius
-        r = find(p)
-        if not locked[r] and any(locked[find(early[e])] for e in row if not mutual[e]):
-            locked[r] = True
-    for m in order[due:]:
-        lock(m)
-
-    return CoreSet(tuple(core_members), np.asarray(core_modes, dtype=np.int64), n)
+        if lo[t] == hi[t]:
+            continue
+        # (b) merge the point's component with its unlocked mutual entries;
+        # (c) a locked mutual entry, or a locked entry within the point's own
+        # k-NN radius, locks the component instead, without a merge
+        r = find(order[t])
+        for e in range(lo[t], hi[t]):
+            s = find(early[e])
+            if s == r:
+                continue
+            if mutual[e] and r in unlocked and s in unlocked:
+                if rank[s] < rank[r]:
+                    r, s = s, r
+                parent[s] = r
+                unlocked.remove(s)
+            elif mutual[e] or s not in unlocked:
+                unlocked.discard(r)
+                unlocked.discard(s)
+    until[list(unlocked)] = n
+    # the step lists go before the arrays below, which at k = 1200 would
+    # otherwise raise the CLI's peak RSS
+    del rank, order, vals, lo, hi, early, mutual
+    comp = _resolve_to_fixpoint(np.asarray(parent, dtype=np.int64))
+    members = np.flatnonzero(density.sweep_rank < until[comp])
+    ids = density.sweep_rank[comp[members]]
+    mode_ranks, sizes = np.unique(ids, return_counts=True)
+    cores = np.split(members[np.argsort(ids, kind="stable")], np.cumsum(sizes))[:-1]
+    return CoreSet(tuple(cores), density.sweep_order[mode_ranks], n)
 
 
 def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
@@ -471,7 +466,8 @@ def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
     each d of ``ds`` in order, each equal to ``cluster(cloud,
     Params(algorithm, d=d, k=k), workers)``. Every d's ``Params`` is built,
     and so checked, by this call: a bad algorithm, d or k raises here, before
-    any index or density is built.
+    any index or density is built. A bad algorithm or a bad k given raises
+    even when ``ds`` is empty.
 
     What does not depend on d is built once, at the first labels: the 3D
     index of ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``.
@@ -481,6 +477,8 @@ def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
     nearest within a smaller one if it lies inside it, and otherwise no
     lower-ranked point does. So each d's parents are the found links shorter
     than d, on the exact d^2 that the query itself compares."""
+    # an empty ds still checks the algorithm, and k if given
+    Params(algorithm, d=1.0, k=1 if k is None and "k" in _ALGO_PARAMS.get(algorithm, ()) else k)
     return _labels(cloud, [Params(algorithm, d=d, k=k) for d in ds], workers)
 
 

@@ -642,6 +642,17 @@ class TestClusterOverD:
         assert list(cluster_over_d(cloud, algo, [])) == []
         assert calls == []
 
+    @pytest.mark.parametrize("algo,k", [("bogus", None), ("gdqs", -5), ("gdqspp", 5)])
+    def test_bad_algorithm_or_k_raises_on_an_empty_sweep(self, monkeypatch, algo, k):
+        cloud = PointCloud(make_cloud(32, 300))
+        calls = self.spy_builds(monkeypatch)
+        with pytest.raises(ParameterError) as swept:
+            cluster_over_d(cloud, algo, [], k)
+        with pytest.raises(ParameterError) as once:
+            Params(algo, d=0.3, k=k)
+        assert str(swept.value) == str(once.value)
+        assert calls == []
+
     def test_edge_cases_match_cluster(self):
         empty = PointCloud(np.empty((0, 3)))
         for algo, k in (("rain", None), ("zqs", None), ("gdqs", 3)):

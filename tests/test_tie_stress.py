@@ -31,7 +31,7 @@ def lattice_clouds(draw):
 
 @settings(max_examples=250, deadline=None)
 @given(pts=lattice_clouds(), d=st.sampled_from([1.0, np.sqrt(2.0), 2.0]),
-       k=st.integers(1, 8), beta=st.sampled_from([0.0, 0.3, 1.0]))
+       k=st.integers(1, 8), beta=st.sampled_from([0.0, 0.15, 0.3, 0.7, 1.0]))
 def test_all_algorithms_match_oracles_on_lattice_ties(pts, d, k, beta):
     k = min(k, len(pts) - 1)
     cloud = PointCloud(pts)
