@@ -319,10 +319,10 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     component is its link tree's component. So a mutual root stands for
     every mutual neighbor of p in its tree, and a step without entries only
     locks what has come due. A merge keeps the earlier root, so the root of
-    a component is its mode. A locked entry, mutual or within p's own k-NN
-    radius, locks p's component, and an unlocked mutual entry of a locked
-    component is locked with it; the two are not merged, because merging
-    locked components changes no snapshot. The merged sets, modes and lock
+    a component is its mode. A locked entry, mutual or not, locks p's
+    component, and an unlocked mutual entry of a locked component is locked
+    with it; the two are not merged, because merging locked components
+    changes no snapshot. The merged sets, modes and lock
     states are those of the full mutual graph, whatever the scan's order.
     ``workers`` threads the window growth of the links and the entry scan
     (-1: one per CPU); the result does not depend on it.
@@ -385,8 +385,8 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
         if lo[t] == hi[t]:
             continue
         # (b) merge the point's component with its unlocked mutual entries;
-        # (c) a locked mutual entry, or a locked entry within the point's own
-        # k-NN radius, locks the component instead, without a merge
+        # (c) a locked entry, mutual or not, locks the component instead,
+        # without a merge
         r = find(order[t])
         for e in range(lo[t], hi[t]):
             s = find(early[e])
