@@ -3,7 +3,7 @@
 Data and JSON reports go to stdout or files; diagnostics go to stderr. The
 exit status is 0 iff no error was reported. ``--threads`` threads the block
 scans (the k-NN density of gdqs and gdqspp, the entry scan of the gdqspp
-core sweep and the radius scan of rain) and the tree queries of the
+core sweep and the lowest-point query of rain) and the tree queries of the
 nearest-below-rank search (zqs, gdqs, and the links and the climb of
 gdqspp), and never changes any output byte. ``eval --sweep-d`` answers
 every d of a zqs or gdqs sweep from one nearest-below-rank query, at the
@@ -51,8 +51,8 @@ def _build_params(algo: str, d: float | None, k: int | None, beta: float | None)
 # an absent --threads becomes -1, one thread per CPU
 _threads_option = click.option(
     "--threads", type=click.IntRange(min=1), callback=lambda ctx, param, value: value or -1,
-    help="threads of the k-NN density scan (gdqs, gdqspp), of the radius scans "
-         "(the gdqspp core sweep's entries, rain) and of the nearest-below-rank "
+    help="threads of the block scans (the k-NN density of gdqs and gdqspp, the "
+         "gdqspp core sweep's entries, rain) and of the nearest-below-rank "
          "queries (zqs, gdqs, the gdqspp links and climb); "
          "outputs do not depend on it [default: one per CPU]")
 

@@ -219,7 +219,8 @@ def rain_parents(cloud: PointCloud, d: float, *,
     The ball contains the point itself, so roots are exactly the points that
     are the lowest in their own neighborhood; (z, index) never increases along
     an edge, which makes the forest acyclic. ``index`` reuses a prebuilt 3D
-    index over the cloud's points; ``workers`` threads its radius scan (-1:
+    index over the cloud's points; ``workers`` threads its scan of the
+    index's blocks, which reads each block's candidates in rank order (-1:
     one per CPU), with the same result at any thread count.
     """
     _check_sizes(cloud, index=index)
@@ -453,7 +454,7 @@ def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input, parameters, and any ``workers``, which
     threads the block scans (the k-NN density, the entry scan of the
-    ``gdqspp`` core sweep and the radius scan of ``rain``) and the tree
+    ``gdqspp`` core sweep and the lowest-point query of ``rain``) and the tree
     queries of the nearest-below-rank search (``zqs``, ``gdqs``, and the
     links of the ``gdqspp`` core sweep and its climb). It is the one-run case
     of the generator behind ``cluster_over_d``."""
@@ -466,8 +467,8 @@ def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
     each d of ``ds`` in order, each equal to ``cluster(cloud,
     Params(algorithm, d=d, k=k), workers)``. Every d's ``Params`` is built,
     and so checked, by this call: a bad algorithm, d or k raises here, before
-    any index or density is built. A bad algorithm or a bad k given raises
-    even when ``ds`` is empty.
+    any index or density is built. A bad algorithm, or a bad or missing k,
+    raises even when ``ds`` is empty.
 
     What does not depend on d is built once, at the first labels: the 3D
     index of ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``.
@@ -477,8 +478,8 @@ def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
     nearest within a smaller one if it lies inside it, and otherwise no
     lower-ranked point does. So each d's parents are the found links shorter
     than d, on the exact d^2 that the query itself compares."""
-    # an empty ds still checks the algorithm, and k if given
-    Params(algorithm, d=1.0, k=1 if k is None and "k" in _ALGO_PARAMS.get(algorithm, ()) else k)
+    # an empty ds still checks the algorithm and k
+    Params(algorithm, d=1.0, k=k)
     return _labels(cloud, [Params(algorithm, d=d, k=k) for d in ds], workers)
 
 

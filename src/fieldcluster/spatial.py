@@ -12,19 +12,23 @@ rely on:
 * ties anywhere are broken by the smaller original point index.
 
 The index has two search engines. The first is a scan of the kD-tree's
-blocks (``_block_scan``): points close together share most of their
+blocks (``_block_groups``): points close together share most of their
 neighbors, so each subtree of a few dozen points fetches one candidate ball
-that provably holds the points each of its rows needs, and each query reads
-its answer off the exact squared distances from the block to those
-candidates. The k-NN radius and the (k+2)-point windows of the density
-(``knn_window``) are order statistics of them; ``radius_scan`` hands them to
-the caller's step, which filters them and keeps only what it needs: the
-quickshift++ core sweep one key per other link tree in its k-NN balls
+that provably holds the points each of its rows needs, with one tree query
+per group of blocks. The block scans (``_block_scan``) read each query's
+answer off the exact squared distances from the block to those candidates.
+The k-NN radius and the (k+2)-point windows of the density (``knn_window``)
+are order statistics of them; ``radius_scan`` hands them to the caller's
+step, which filters them and keeps only what the quickshift++ core sweep
+needs: one key per other link tree in its k-NN balls
 (``directed_radius_lists``, which first drops the candidates that no row of
-a block can keep), the lowest-rank-in-ball search (``argmin_rank_in_ball``)
-the lowest rank strictly inside d. All are exact with ties and duplicates,
-without a per-point neighbor heap, and the cost of the radius scans grows
-with the number of points in a ball.
+a block can keep). The lowest-rank-in-ball search (``argmin_rank_in_ball``)
+instead sorts each block's candidates by rank; each row skips those whose
+running maximum of z lies d below it and stops at its first candidate
+strictly inside d. All are exact with ties and duplicates, without a
+per-point neighbor heap. The cost of the block scans grows with the number
+of points in a ball; the lowest-rank search reads few more than a row needs
+when the rank follows z.
 
 The second, the nearest-below-rank search, grows per-point windows (the kk
 nearest points, self included, with their exact squared distances, from one
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 
@@ -56,15 +61,16 @@ from .pointcloud import _checked_points
 # mmap threshold, so each is mapped and returned whole instead of coming from
 # a heap whose layout, and so the peak memory, depends on earlier frees
 _CHUNK_ELEMS = 4_400_000
-# _block_scan: the kD-tree's subtrees of at most _BLOCK points (knn_window) or
-# _RADIUS_BLOCK points (radius_scan) are scanned as blocks, each against one
-# candidate set, and a thread takes _GROUP consecutive blocks at a time. The
-# radius ball reaches one block radius past the rows, the density's two, and
-# its steps partition nothing, so the per-block calls weigh more there: with
-# blocks of 64 the gdqspp core sweep's radius scans (then two, for its links
-# and its entries) took 0.9 s on the reference field at k = 64, against 1.2 s
-# with blocks of 32 and 1.1-1.4 s with 128, and about as long as either at
-# k = 500 and 1200 (two runs each). The density keeps 32 for its memory: with
+# _block_groups: the kD-tree's subtrees of at most _BLOCK points (knn_window)
+# or _RADIUS_BLOCK points (radius_scan, argmin_rank_in_ball) are scanned as
+# blocks, each against one candidate set, and a thread takes _GROUP
+# consecutive blocks at a time. The radius ball reaches one block radius past
+# the rows, the density's two, and its steps partition nothing, so the
+# per-block calls weigh more there: with blocks of 64 the gdqspp core sweep's
+# radius scans (then two, for its links and its entries) took 0.9 s on the
+# reference field at k = 64, against 1.2 s with blocks of 32 and 1.1-1.4 s
+# with 128, and about as long as either at k = 500 and 1200 (two runs each).
+# The density keeps 32 for its memory: with
 # blocks of 64, knn_window gave the same rho and was no slower at two threads
 # (k = 500: 0.82-0.87 s against 0.87-1.03 s; k = 1200: 1.30-1.39 s against
 # 1.53-1.70 s), but the CLI's max RSS rose, in 3 alternated pairs, from
@@ -150,8 +156,8 @@ class SpatialIndex:
         starts.append(self.n)
         return np.array(starts, dtype=np.int64)
 
-    def _block_scan(self, size: int, reach, step, threads: int, keep=None) -> None:
-        """Scan the points in blocks, each against one candidate set.
+    def _block_groups(self, size: int, reach, scan, threads: int) -> None:
+        """Fetch the candidate balls of the points' blocks, one group at a time.
 
         Points close in the plane share most of their neighbors, so the
         blocks are the subtrees of the kD-tree with at most ``size`` points
@@ -159,17 +165,15 @@ class SpatialIndex:
         far, block_max)`` gives each block's candidate radius from the centres
         of the blocks' bounding boxes and the distance ``far`` from each centre
         to its farthest block point; ``block_max(values)`` is the per-block
-        maximum of a value per point. The tree returns each block's ball, one
-        ``query_ball_point`` per ``_GROUP`` blocks; ``keep(rows, cand)``, when
-        given, cuts it to the candidates that the block's rows can use, and a
-        block with none left is skipped. ``step(sub, cand, d2)`` gets the
-        exact squared distances d2[r] from point sub[r] to the candidates, in
-        row chunks of at most ``_CHUNK_ELEMS`` elements.
+        maximum of a value per point. The tree returns the balls of ``_GROUP``
+        consecutive blocks with one ``query_ball_point``, and ``scan(rows,
+        balls)`` gets the point indices of each of those blocks and their
+        balls, as lists of point indices in no particular order.
 
         ``threads`` threads scan the groups; one thread scans them in the
         calling thread, whose heap keeps fewer of the temporaries resident
-        than a pool thread's. A step writes only the rows of its own chunk,
-        or keeps per-chunk results whose order does not matter, so the result
+        than a pool thread's. A scan writes only the rows of its own blocks,
+        or keeps per-group results whose order does not matter, so the result
         is the same at any thread count.
         """
         if self.n == 0:
@@ -187,11 +191,33 @@ class SpatialIndex:
         del pts
         radius = reach(centre, far, lambda values: np.maximum.reduceat(values[order], first))
 
-        def scan(group):
+        def fetch(group):
             balls = self._tree.query_ball_point(centre[group], radius[group], return_sorted=False)
-            for b, ball in zip(group, balls):
+            scan([order[starts[b]:starts[b + 1]] for b in group], balls)
+
+        nb = first.size
+        groups = np.array_split(np.arange(nb), -(-nb // _GROUP))
+        threads = min(threads, len(groups))
+        if threads == 1:
+            for group in groups:
+                fetch(group)
+            return
+        with ThreadPoolExecutor(threads) as pool:
+            for _ in pool.map(fetch, groups):
+                pass  # reading each result re-raises a worker's error
+
+    def _block_scan(self, size: int, reach, step, threads: int, keep=None) -> None:
+        """Scan the points in blocks of ``_block_groups``, each against its
+        candidate ball: ``keep(rows, cand)``, when given, cuts the ball to the
+        candidates that the block's rows can use, and a block with none left
+        is skipped. ``step(sub, cand, d2)`` gets the exact squared distances
+        d2[r] from point sub[r] to the candidates, in row chunks of at most
+        ``_CHUNK_ELEMS`` elements; it may write only its own rows, or keep
+        per-chunk results whose order does not matter.
+        """
+        def scan(blocks, balls):
+            for rows, ball in zip(blocks, balls):
                 cand = np.fromiter(ball, dtype=np.intp, count=len(ball))
-                rows = order[starts[b]:starts[b + 1]]
                 if keep is not None:
                     cand = keep(rows, cand)
                     if not cand.size:
@@ -205,16 +231,7 @@ class SpatialIndex:
                     d2 = _sq_dist_cols(self._cols, cand, sub)
                     step(sub, cand, d2)
 
-        nb = first.size
-        groups = np.array_split(np.arange(nb), -(-nb // _GROUP))
-        threads = min(threads, len(groups))
-        if threads == 1:
-            for group in groups:
-                scan(group)
-            return
-        with ThreadPoolExecutor(threads) as pool:
-            for _ in pool.map(scan, groups):
-                pass  # reading each result re-raises a worker's error
+        self._block_groups(size, reach, scan, threads)
 
     # ------------------------------------------------------------- bulk kNN
 
@@ -333,22 +350,90 @@ class SpatialIndex:
         """For each point, the point of minimal rank within its open d-ball.
 
         rank must be a permutation of 0..n-1 (a strict total order); the ball
-        always contains the point itself, so the result is total. A
-        ``radius_scan`` at squared radius d*d whose step keeps each row's
-        minimal rank strictly inside d: ``workers`` threads (-1: one per CPU)
-        scan groups of blocks, with the same result at any thread count.
+        always contains the point itself, so the result is total. ``workers``
+        threads (-1: one per CPU) scan groups of blocks, with the same result
+        at any thread count.
+
+        The blocks are those of ``radius_scan`` at squared radius d*d, so each
+        block's candidate ball holds every point within d of its rows. Each
+        group of blocks reads its balls into one array and sorts one int64
+        key per candidate, block * n + rank, so each block's candidates come
+        in rank order and each row's answer is its first candidate strictly
+        inside d. A row's scan ends at its own entry, whose d^2 is 0, and
+        reads windows of 16 columns, doubling each round; only the rows not
+        yet resolved go on. Rows go in chunks of at most _CHUNK_ELEMS // 16
+        and a window is at most _CHUNK_ELEMS // rows wide, so no window, nor
+        its d^2, exceeds ``_CHUNK_ELEMS`` elements, the bound of a radius
+        scan's d^2 rows: the peak memory does not rise.
+
+        Each row i also skips the prefix of its block's list whose running
+        maximum M of the last coordinate (z in 3D) is at most top[i]:
+        fl(c_i - d), stepped down one float at a time until fl(c_i - top[i])
+        >= d. The skip is exact for any rank, and it saves work when the rank
+        follows z, as rain's (z, index) rank does. A skipped candidate j has
+        c_j <= M <= top[i], so c_i - c_j >= c_i - top[i]; rounding is
+        monotone, so |fl(c_j - c_i)| = fl(c_i - c_j) >= fl(c_i - top[i]) >= d,
+        and its square rounds to at least fl(d*d). ``_sq_dist_cols`` adds the
+        other axes' squares, which are not negative, and a float plus a
+        non-negative float rounds to no less than that float. So j's d^2 is
+        at least d*d and j lies outside the open ball. Row i's own entry is
+        never skipped: top[i] < c_i <= M there.
         """
         _check_d(d)
+        threads = _threads(workers)
+        n = self.n
         cap = d * d
-        low = np.empty(self.n, dtype=np.int64)
+        by_rank = np.empty(n, dtype=np.int64)
+        by_rank[rank] = np.arange(n)
+        coord = self._cols[-1]
+        top = coord - d
+        short = coord - top < d
+        while short.any():
+            top[short] = np.nextafter(top[short], -np.inf)
+            short = coord - top < d
+        low = np.empty(n, dtype=np.int64)
 
-        def step(sub, cand, d2):
-            low[sub] = np.where(d2 < cap, rank[cand], self.n).min(axis=1)
+        def scan(blocks, balls):
+            # at most two arrays of the group's candidates live at once
+            size = [len(ball) for ball in balls]
+            base = np.arange(0, len(blocks) * n, n, dtype=np.int64)
+            cand = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=sum(size))
+            key = rank[cand].astype(np.int64, copy=False)
+            del cand
+            key += np.repeat(base, size)
+            # sorting leaves each block's entries where they were
+            key.sort()
+            rows = np.concatenate(blocks)
+            # each row's own entry, at d^2 = 0: its scan ends there
+            end = np.searchsorted(key, rank[rows] + np.repeat(base, [b.size for b in blocks]))
+            key %= n
+            cand = by_rank[key]
+            del key
+            # each row's first entry past the skipped prefix of its block
+            off = np.concatenate(([0], np.cumsum(size)))
+            start = np.concatenate([
+                off[b] + np.searchsorted(np.maximum.accumulate(coord[cand[off[b]:off[b + 1]]]),
+                                         top[rows_b], "right")
+                for b, rows_b in enumerate(blocks)])
+            chunk = max(1, _CHUNK_ELEMS // 16)
+            for lo_row in range(0, rows.size, chunk):
+                sub, col0, last = (a[lo_row:lo_row + chunk] for a in (rows, start, end))
+                width = 16
+                while sub.size:
+                    width = min(width, int((last - col0).max()) + 1, _CHUNK_ELEMS // sub.size)
+                    idx = cand[np.minimum(col0[:, None] + np.arange(width), last[:, None])]
+                    hit = _sq_dist_cols(self._cols, idx, sub) < cap
+                    first = hit.argmax(axis=1)
+                    found = hit[np.arange(sub.size), first]
+                    low[sub[found]] = idx[found, first[found]]
+                    sub, col0, last = sub[~found], col0[~found] + width, last[~found]
+                    width *= 2
 
-        self.radius_scan(np.full(self.n, cap), step, workers=workers)
-        order = np.empty(self.n, dtype=np.int64)
-        order[rank] = np.arange(self.n)
-        return order[low]
+        def reach(centre, far, block_max):
+            return (far + d) * _BOUND_SLACK
+
+        self._block_groups(_RADIUS_BLOCK, reach, scan, threads)
+        return low
 
     def nearest_below_rank(self, rank: np.ndarray, d: float | None = None, *,
                            reach: np.ndarray | None = None, subset: np.ndarray | None = None,

@@ -639,10 +639,12 @@ class TestClusterOverD:
     def test_empty_sweep_yields_and_builds_nothing(self, monkeypatch, algo):
         cloud = PointCloud(make_cloud(32, 300))
         calls = self.spy_builds(monkeypatch)
-        assert list(cluster_over_d(cloud, algo, [])) == []
+        k = 8 if algo == "gdqs" else None
+        assert list(cluster_over_d(cloud, algo, [], k)) == []
         assert calls == []
 
-    @pytest.mark.parametrize("algo,k", [("bogus", None), ("gdqs", -5), ("gdqspp", 5)])
+    @pytest.mark.parametrize("algo,k", [("bogus", None), ("gdqs", -5), ("gdqs", None),
+                                        ("gdqspp", 5)])
     def test_bad_algorithm_or_k_raises_on_an_empty_sweep(self, monkeypatch, algo, k):
         cloud = PointCloud(make_cloud(32, 300))
         calls = self.spy_builds(monkeypatch)

@@ -630,6 +630,66 @@ class TestBulkQueries:
                                                   workers=workers).tolist() == want_subset
 
 
+def z_ranked_clouds(seed):
+    """Clouds for the (z, index)-ranked query, with the d values each is
+    queried at: lattices whose heights lie exactly d apart (d = 0.5, a
+    power of two) or d apart as rounded (d = 0.3), queried at d and at
+    d * (1 +- 1e-7); the second with duplicate points; and the first
+    with z offset by 2^20 and by 2^40, where z rounds to 2^-32 and 2^-12."""
+    rng = np.random.default_rng(seed)
+    sites = rng.integers(0, [12, 12, 8], size=(500, 3)).astype(np.float64)
+    dupes = np.concatenate([sites, sites[rng.integers(0, 500, size=120)]])
+    for pts, d in ((sites * [0.25, 0.25, 0.5], 0.5), (dupes * [0.2, 0.2, 0.3], 0.3)):
+        yield pts, (d * (1 - 1e-7), d, d * (1 + 1e-7))
+    for offset in (2.0 ** 20, 2.0 ** 40):
+        yield sites * [0.25, 0.25, 0.5] + [0.0, 0.0, offset], (0.5, 0.5 * (1 + 1e-7), 0.75)
+
+
+class TestRankOrderSkip:
+    """argmin_rank_in_ball under rain's (z, index) rank, which skips the
+    candidates lying d below a row: the random ranks of the other tests
+    leave nothing to skip."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("block, group", [(None, None), (4, 2)])
+    def test_matches_brute_force(self, seed, block, group, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(spatial, "_RADIUS_BLOCK", block)
+            monkeypatch.setattr(spatial, "_GROUP", group)
+        for pts, radii in z_ranked_clouds(seed):
+            idx = SpatialIndex(pts)
+            rank = _order_and_rank(pts[:, 2])[1]
+            D2 = sq_dist_matrix(pts)
+            for d in radii:
+                want = brute_argmin_rank_in_ball(D2, rank, d)
+                low = idx.argmin_rank_in_ball(rank, d)
+                assert low.tolist() == want
+                assert np.array_equal(idx.argmin_rank_in_ball(rank, d, workers=2), low)
+
+    def test_computes_fewer_sq_distances_than_the_balls_hold(self, monkeypatch):
+        # a radius scan at d*d computes the d^2 from each block to its whole
+        # candidate ball; the query reads far fewer in rank order
+        pts = make_cloud(60, 3000)
+        idx = SpatialIndex(pts)
+        rank = _order_and_rank(pts[:, 2])[1]
+        count = [0]
+        sq_dist_cols = spatial._sq_dist_cols
+
+        def counted(cols, cand, sub):
+            d2 = sq_dist_cols(cols, cand, sub)
+            count[0] += d2.size
+            return d2
+
+        monkeypatch.setattr(spatial, "_sq_dist_cols", counted)
+        for d in (0.1, 0.3):
+            count[0] = 0
+            idx.radius_scan(np.full(3000, d * d), lambda sub, cand, d2: None)
+            balls = count[0]
+            count[0] = 0
+            idx.argmin_rank_in_ball(rank, d)
+            assert count[0] * 3 < balls
+
+
 class TestBuild:
     def test_empty_index(self):
         idx = SpatialIndex(np.empty((0, 3)))
