@@ -13,12 +13,17 @@ rely on:
 
 The index has two search engines. The first is a scan of the kD-tree's
 blocks (``_block_groups``): points close together share most of their
-neighbors, so each subtree of a few dozen points fetches one candidate ball
-that provably holds the points each of its rows needs, with one tree query
-per group of blocks. The block scans (``_block_scan``) read each query's
-answer off the exact squared distances from the block to those candidates.
-The k-NN radius and the (k+2)-point windows of the density (``knn_window``)
-are order statistics of them; ``radius_scan`` hands them to the caller's
+neighbors, so each subtree of a few dozen points gets one candidate set that
+provably holds the points each of its rows needs. The sets are fetched on
+two levels: each super-block, a subtree of at most ``_SUPER`` blocks, takes
+one ball from the tree, by the same rule as a block's, with one tree query
+per group of super-blocks; each of its blocks keeps, in numpy, the
+candidates within its own radius of its centre. The block scans
+(``_block_scan``) read each query's answer off the exact squared distances
+from the block to those candidates. The k-NN radius and the (k+2)-point
+windows of the density (``knn_window``) are order statistics of them, and
+the density reads each block's radius off its super-block's ball, without a
+tree k-NN query per block; ``radius_scan`` hands them to the caller's
 step, which filters them and keeps only what the quickshift++ core sweep
 needs: one key per other link tree in its k-NN balls
 (``directed_radius_lists``, which first drops the candidates that no row of
@@ -41,15 +46,15 @@ point's own reach (the links of the ``gdqspp`` core sweep).
 
 The index is read-only after construction. Both engines take a thread count
 (``workers``, with no effect on results): the block scans thread over groups
-of blocks, and the nearest-below-rank search hands it to the tree query that
-fetches each round's windows, which takes most of its time.
+of super-blocks, the calling thread among them, and the nearest-below-rank
+search hands it to the tree query that fetches each round's windows, which
+takes most of its time.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from itertools import chain
 
 import numpy as np
 
@@ -63,22 +68,27 @@ from .pointcloud import _checked_points
 _CHUNK_ELEMS = 4_400_000
 # _block_groups: the kD-tree's subtrees of at most _BLOCK points (knn_window)
 # or _RADIUS_BLOCK points (radius_scan, argmin_rank_in_ball) are scanned as
-# blocks, each against one candidate set, and a thread takes _GROUP
-# consecutive blocks at a time. The radius ball reaches one block radius past
-# the rows, the density's two, and its steps partition nothing, so the
-# per-block calls weigh more there: with blocks of 64 the gdqspp core sweep's
-# radius scans (then two, for its links and its entries) took 0.9 s on the
-# reference field at k = 64, against 1.2 s with blocks of 32 and 1.1-1.4 s
-# with 128, and about as long as either at k = 500 and 1200 (two runs each).
-# The density keeps 32 for its memory: with
-# blocks of 64, knn_window gave the same rho and was no slower at two threads
-# (k = 500: 0.82-0.87 s against 0.87-1.03 s; k = 1200: 1.30-1.39 s against
-# 1.53-1.70 s), but the CLI's max RSS rose, in 3 alternated pairs, from
+# blocks, each against one candidate set, and a thread takes the super-blocks
+# of about _GROUP consecutive blocks at a time. The radius ball reaches one
+# block radius past the rows, the density's two, and its steps partition
+# nothing, so the per-block calls weigh more there: with blocks of 64 the
+# gdqspp core sweep's radius scans (then two, for its links and its
+# entries) took 0.9 s on the reference field at k = 64, against 1.2 s with
+# blocks of 32 and 1.1-1.4 s with 128, and about as long as either at
+# k = 500 and 1200 (two runs each). The density keeps 32 for its memory:
+# with blocks of 64, knn_window gave the same rho and was no slower at two
+# threads (k = 500: 0.82-0.87 s against 0.87-1.03 s; k = 1200: 1.30-1.39 s
+# against 1.53-1.70 s), but the CLI's max RSS rose, in 3 alternated pairs, from
 # 124-125 to 131-133 MiB for gdqspp at k = 500 and from 107-113 to 121-122 MiB
 # for a gdqs eval --sweep-d
 _BLOCK = 32
 _RADIUS_BLOCK = 64
 _GROUP = 64
+# a super-block is a subtree of at most _SUPER blocks' points; each takes one
+# tree ball that its blocks trim. On the reference field at two threads, with
+# 4 the density at k = 500 took 0.75-0.86 s against 0.55-0.72 s with 8, and
+# rain at d = 0.4 0.38-0.39 s against 0.25-0.31 s; 16 was no faster (2 runs)
+_SUPER = 8
 # relative slack on the tree's distance bound, far above the few ulps by which
 # the tree's distance may differ from the exact squared distance
 _BOUND_SLACK = 1.0 + 1e-9
@@ -100,11 +110,13 @@ def _threads(workers: int) -> int:
     return int(threads)
 
 
-def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
+def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray,
+                  at: tuple | None = None) -> np.ndarray:
     """Exact squared distances from point sub[r] to the points idx[r] (a 2D
     array) or to the points idx (a 1D array shared by every row), from the
     per-axis coordinate columns ``cols``: the package's one implementation of
-    the squared distance.
+    the squared distance. With ``at``, the rows are the points of those
+    columns instead (the block scans' box centres).
 
     The columns are added in the order in which numpy's ``einsum``, which the
     brute-force oracles use, sums a length-2 or length-3 last axis: x then y
@@ -116,7 +128,8 @@ def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
     for axis in (0, 1) if len(cols) == 2 else (0, 2, 1):
         col = cols[axis]
         t = col[idx]
-        t = np.subtract(t, col[sub][:, None], out=t if t.ndim == 2 else None)
+        t = np.subtract(t, (cols if at is None else at)[axis][sub][:, None],
+                        out=t if t.ndim == 2 else None)
         t *= t
         if d2 is None:
             d2 = t
@@ -157,54 +170,113 @@ class SpatialIndex:
         return np.array(starts, dtype=np.int64)
 
     def _block_groups(self, size: int, reach, scan, threads: int) -> None:
-        """Fetch the candidate balls of the points' blocks, one group at a time.
+        """Fetch the candidates of the points' blocks, one group at a time.
 
         Points close in the plane share most of their neighbors, so the
         blocks are the subtrees of the kD-tree with at most ``size`` points
-        (or a leaf of coincident points, see ``_blocks``). ``reach(centre,
-        far, block_max)`` gives each block's candidate radius from the centres
-        of the blocks' bounding boxes and the distance ``far`` from each centre
-        to its farthest block point; ``block_max(values)`` is the per-block
-        maximum of a value per point. The tree returns the balls of ``_GROUP``
-        consecutive blocks with one ``query_ball_point``, and ``scan(rows,
-        balls)`` gets the point indices of each of those blocks and their
-        balls, as lists of point indices in no particular order.
+        (or a leaf of coincident points, see ``_blocks``), and the
+        super-blocks those with at most ``_SUPER`` * ``size``. Both are
+        subtrees over one tree order, so each block lies inside exactly one
+        super-block. ``reach(centre, far, block_max, near)`` gives the
+        candidate radii of boxes from the centres of their bounding boxes,
+        the distance ``far`` from each centre to its farthest point,
+        ``block_max(values)``, the per-box maximum of a value per point, and
+        ``near(kq)``, a bound on the distance from each centre to its kq-th
+        nearest point. Each super-block's ball comes from one
+        ``query_ball_point`` per group of about ``_GROUP`` blocks, and its
+        ``near`` from one tree k-NN query. Each block keeps the candidates of
+        its super-block's ball whose exact squared distance d2 from its
+        centre is at most its radius squared; its ``near(kq)`` is the square
+        root of its kq-th smallest d2. ``scan(blocks)`` gets an iterator
+        over a group's blocks as (point indices, candidates) pairs, the
+        candidates in no particular order, which trims one super-block at a
+        time as it is read.
 
-        ``threads`` threads scan the groups; one thread scans them in the
-        calling thread, whose heap keeps fewer of the temporaries resident
-        than a pool thread's. A scan writes only the rows of its own blocks,
-        or keeps per-group results whose order does not matter, so the result
-        is the same at any thread count.
+        The trim keeps every candidate that a row needs. Each ``reach`` rule
+        bounds, by the triangle inequality, how far from a box's centre lie
+        the candidates that the box's points need. Applied to a super-block,
+        it gives a ball that holds those of all its rows; applied to a block,
+        a radius about the block's own centre that holds those of its rows.
+        So a needed candidate lies in the ball and within the radius. The
+        density's ``near(kq)`` is a valid bound at a block too: the
+        super-block's ball holds at least the kq points within R of its own
+        centre, so the kq smallest d2 are distances to kq real points.
+        Rounding moves each quantity that the bounds are made of by a few
+        ulps, as long as no square underflows (the tree's balls assume that
+        too): ``far`` and the d2 are measured from the rounded centres; a d2
+        is within 5 ulps of the exact squared distance, its square root
+        within one more, and each sum, product and square of a radius adds
+        one. ``_BOUND_SLACK`` grows each radius by a relative 1e-9, and so
+        its square by 2e-9, far above these. So no needed candidate fails
+        the trim, and the scans are as exact as with a tree ball per block.
+
+        ``threads`` threads take the groups, the calling thread among them:
+        a pool thread's heap keeps its temporaries resident after the scan,
+        where the calling thread's heap serves the stages that follow. A scan
+        writes only the rows of its own blocks, or keeps per-group results
+        whose order does not matter, so the result is the same at any thread
+        count.
         """
         if self.n == 0:
             return
         order = self._tree.indices
         starts = self._blocks(size)
-        first = starts[:-1]
+        tops = self._blocks(size * _SUPER)
         pts = self.points[order]
-        lo = np.minimum.reduceat(pts, first)
-        hi = np.maximum.reduceat(pts, first)
-        centre = (lo + hi) / 2
-        # measured from the rounded centre, so the balls need no margin for it
-        pts -= np.repeat(centre, np.diff(starts), axis=0)
-        far = np.maximum.reduceat(np.hypot.reduce(pts, axis=1), first)
+
+        def boxes(bounds):
+            first = bounds[:-1]
+            centre = (np.minimum.reduceat(pts, first) + np.maximum.reduceat(pts, first)) / 2
+            # measured from the rounded centre, so the balls need no margin for it
+            off = pts - np.repeat(centre, np.diff(bounds), axis=0)
+            return centre, np.maximum.reduceat(np.hypot.reduce(off, axis=1), first)
+
+        def box_max(bounds):
+            return lambda values: np.maximum.reduceat(values[order[bounds[0]:bounds[-1]]],
+                                                      bounds[:-1] - bounds[0])
+
+        top_centre, top_far = boxes(tops)
+        top_radius = reach(top_centre, top_far, box_max(tops), lambda kq: self._tree.query(
+            top_centre, k=[kq], workers=threads)[0][:, 0])
+        centre, far = boxes(starts)
+        centre_cols = tuple(centre.T)
         del pts
-        radius = reach(centre, far, lambda values: np.maximum.reduceat(values[order], first))
+        # the blocks of super-block t are own[t]:own[t + 1]
+        own = np.searchsorted(starts, tops)
 
-        def fetch(group):
-            balls = self._tree.query_ball_point(centre[group], radius[group], return_sorted=False)
-            scan([order[starts[b]:starts[b + 1]] for b in group], balls)
+        def trimmed(group):
+            # each block's (rows, candidates), made as the scan reads them:
+            # a super-block's d2 go before its blocks are scanned, and the
+            # scan's own d2 reuse their room in the thread's heap
+            balls = self._tree.query_ball_point(top_centre[group], top_radius[group],
+                                                return_sorted=False)
+            for t, ball in zip(group, balls):
+                cand = np.fromiter(ball, dtype=np.intp, count=len(ball))
+                chunk = max(1, _CHUNK_ELEMS // cand.size)
+                for lo_b in range(own[t], own[t + 1], chunk):
+                    b = np.arange(lo_b, min(lo_b + chunk, own[t + 1]))
+                    d2 = _sq_dist_cols(self._cols, cand, b, centre_cols)
+                    radius = reach(centre[b], far[b], box_max(starts[b[0]:b[-1] + 2]),
+                                   lambda kq: np.sqrt(np.partition(d2, kq - 1, axis=1)[:, kq - 1]))
+                    inside = d2 <= (radius * radius)[:, None]
+                    del d2
+                    for i, within in zip(b, inside):
+                        yield order[starts[i]:starts[i + 1]], cand[within]
 
-        nb = first.size
-        groups = np.array_split(np.arange(nb), -(-nb // _GROUP))
-        threads = min(threads, len(groups))
-        if threads == 1:
+        ngroups = min(tops.size - 1, -(-(starts.size - 1) // _GROUP))
+        groups = iter(np.array_split(np.arange(tops.size - 1), ngroups))
+
+        def work():
+            # the groups are shared: each thread takes the next one left
             for group in groups:
-                fetch(group)
-            return
-        with ThreadPoolExecutor(threads) as pool:
-            for _ in pool.map(fetch, groups):
-                pass  # reading each result re-raises a worker's error
+                scan(trimmed(group))
+
+        helpers = min(threads, ngroups) - 1
+        with ThreadPoolExecutor(max(1, helpers)) as pool:
+            running = [pool.submit(work) for _ in range(helpers)]
+            work()
+            for helper in running:
+                helper.result()  # re-raises a helper's error
 
     def _block_scan(self, size: int, reach, step, threads: int, keep=None) -> None:
         """Scan the points in blocks of ``_block_groups``, each against its
@@ -212,17 +284,23 @@ class SpatialIndex:
         candidates that the block's rows can use, and a block with none left
         is skipped. ``step(sub, cand, d2)`` gets the exact squared distances
         d2[r] from point sub[r] to the candidates, in row chunks of at most
-        ``_CHUNK_ELEMS`` elements; it may write only its own rows, or keep
-        per-chunk results whose order does not matter.
+        ``_CHUNK_ELEMS`` // ``_GROUP`` elements; it may write only its own
+        rows, or keep per-chunk results whose order does not matter.
         """
-        def scan(blocks, balls):
-            for rows, ball in zip(blocks, balls):
-                cand = np.fromiter(ball, dtype=np.intp, count=len(ball))
+        def scan(blocks):
+            for rows, cand in blocks:
                 if keep is not None:
                     cand = keep(rows, cand)
                     if not cand.size:
                         continue
-                chunk = max(1, _CHUNK_ELEMS // cand.size)
+                # a group's chunks together stay within one query round's
+                # elements, so no d2 (550 kB) outgrows the room that the
+                # fetch leaves in a pool thread's heap, which the stages that
+                # follow do not reuse. The gdqs sweep's CLI peaked at
+                # 108.6-109.2 MiB, against 106.4-109.3 MiB with a tree ball
+                # per block and 106.3-110.8 MiB with chunks of _CHUNK_ELEMS
+                # (8 runs each, two threads)
+                chunk = max(1, _CHUNK_ELEMS // _GROUP // cand.size)
                 for lo_row in range(0, rows.size, chunk):
                     sub = rows[lo_row:lo_row + chunk]
                     # bound until the next chunk's is made: freeing each
@@ -255,7 +333,18 @@ class SpatialIndex:
         points to the candidates. The candidates hold every point within each
         row's rho, so rho is exact, ties and duplicates included.
 
-        ``workers`` threads (-1: one per CPU) scan groups of blocks; the
+        The same rule gives each super-block its ball, with R from one tree
+        k-NN query at its centre C: its rows' kq nearest lie within 2 F + R
+        of C, F being its far, and the ball holds at least the kq points
+        within R of C. A block's R is then R_b, the square root of the kq-th
+        smallest exact squared distance from c to that ball's points. Those
+        are kq real points, so c's kq-th nearest point lies within R_b, up to
+        the few ulps of one squared distance and its square root, which the
+        slack covers: R_b is a valid bound, and the block keeps the points of
+        the super-block's ball within its own 2 far + R_b, which hold all
+        that its rows need.
+
+        ``workers`` threads (-1: one per CPU) scan groups of super-blocks; the
         result is the same at any thread count.
         """
         if not 1 <= k <= self.n - 1 or int(k) != k:
@@ -266,9 +355,8 @@ class SpatialIndex:
         rho = np.empty(self.n, dtype=np.float64)
         win = np.empty((self.n, kq), dtype=np.int32) if return_indices else None
 
-        def reach(centre, far, block_max):
-            dist, _ = self._tree.query(centre, k=[kq], workers=threads)
-            return (2 * far + dist[:, 0]) * _BOUND_SLACK
+        def reach(centre, far, block_max, near):
+            return (2 * far + near(kq)) * _BOUND_SLACK
 
         def step(sub, cand, d2):
             if return_indices:
@@ -290,15 +378,17 @@ class SpatialIndex:
         no row of a block can use before their d^2 are computed. A block scan
         (``_block_scan``): every point within sqrt(rho[i]) of a block point i
         lies within far + max sqrt(rho) over the block of the block's centre
-        c; that ball, grown by ``_BOUND_SLACK``, is the block's candidate set.
-        ``workers`` threads (-1: one per CPU) scan groups of blocks, so a step
+        c; that ball, grown by ``_BOUND_SLACK``, is the block's candidate set,
+        trimmed from its super-block's ball by the same rule. ``workers``
+        threads (-1: one per CPU) scan groups of super-blocks, so a step
         may write only its own rows, or keep a result whose order does not
         matter.
         """
         threads = _threads(workers)
+        root = np.sqrt(rho)
 
-        def reach(centre, far, block_max):
-            return (far + block_max(np.sqrt(rho))) * _BOUND_SLACK
+        def reach(centre, far, block_max, near):
+            return (far + block_max(root)) * _BOUND_SLACK
 
         self._block_scan(_RADIUS_BLOCK, reach, step, threads, keep)
 
@@ -330,7 +420,7 @@ class SpatialIndex:
         def step(sub, cand, d2):
             cross = group[cand] != group[sub][:, None]
             cross &= d2 <= rho[sub][:, None]
-            r, c = np.nonzero(cross)
+            r, c = np.divmod(np.flatnonzero(cross), cand.size)
             # few entries cross a group: test their order after the matrix
             earlier = rank[cand[c]] < rank[sub[r]]
             r, c = r[earlier], c[earlier]
@@ -355,16 +445,15 @@ class SpatialIndex:
         at any thread count.
 
         The blocks are those of ``radius_scan`` at squared radius d*d, so each
-        block's candidate ball holds every point within d of its rows. Each
-        group of blocks reads its balls into one array and sorts one int64
+        block's candidates hold every point within d of its rows. Each group
+        of blocks joins its candidates into one array and sorts one int64
         key per candidate, block * n + rank, so each block's candidates come
         in rank order and each row's answer is its first candidate strictly
         inside d. A row's scan ends at its own entry, whose d^2 is 0, and
         reads windows of 16 columns, doubling each round; only the rows not
         yet resolved go on. Rows go in chunks of at most _CHUNK_ELEMS // 16
         and a window is at most _CHUNK_ELEMS // rows wide, so no window, nor
-        its d^2, exceeds ``_CHUNK_ELEMS`` elements, the bound of a radius
-        scan's d^2 rows: the peak memory does not rise.
+        its d^2, exceeds ``_CHUNK_ELEMS`` elements.
 
         Each row i also skips the prefix of its block's list whose running
         maximum M of the last coordinate (z in 3D) is at most top[i]:
@@ -393,11 +482,13 @@ class SpatialIndex:
             short = coord - top < d
         low = np.empty(n, dtype=np.int64)
 
-        def scan(blocks, balls):
-            # at most two arrays of the group's candidates live at once
-            size = [len(ball) for ball in balls]
+        def scan(pairs):
+            blocks, cands = zip(*pairs)
+            size = [cand.size for cand in cands]
             base = np.arange(0, len(blocks) * n, n, dtype=np.int64)
-            cand = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=sum(size))
+            # at most two arrays of the group's candidates live at once
+            cand = np.concatenate(cands)
+            del cands
             key = rank[cand].astype(np.int64, copy=False)
             del cand
             key += np.repeat(base, size)
@@ -429,7 +520,7 @@ class SpatialIndex:
                     sub, col0, last = sub[~found], col0[~found] + width, last[~found]
                     width *= 2
 
-        def reach(centre, far, block_max):
+        def reach(centre, far, block_max, near):
             return (far + d) * _BOUND_SLACK
 
         self._block_groups(_RADIUS_BLOCK, reach, scan, threads)

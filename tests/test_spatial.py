@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -343,11 +344,17 @@ class TestBlockScan:
         check_knn_window(pts, (1, 6, 26, 100, 358, 359))
 
     def test_same_result_at_any_thread_count(self, monkeypatch):
-        # blocks of 32 in groups of 2: the 600 points make about 10 groups
+        # groups of 2 blocks are one super-block each: the 600 points make 33
+        # blocks of the density in 4 super-blocks, and 16 of the radius scans
+        # in 2, so several threads take groups of several blocks
         monkeypatch.setattr(spatial, "_GROUP", 2)
         pts = make_cloud_with_stems(55, 6, 30, extra=420)[:, :2]
         idx = SpatialIndex(pts)
         assert idx._blocks(spatial._BLOCK).size - 1 >= 19
+        for size in (spatial._BLOCK, spatial._RADIUS_BLOCK):
+            blocks = idx._blocks(size).size - 1
+            supers = idx._blocks(size * spatial._SUPER).size - 1
+            assert supers >= 2 and blocks >= 4 * supers
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads interleave as often as they can
         try:
@@ -413,6 +420,73 @@ class TestBlockScan:
             rho, _ = idx.knn_window(k)
             several, mixed = check_directed_lists(idx, D2, rho, workers)
             assert several > 0 and mixed > 0
+
+
+def stress_clouds():
+    """The clouds of ``TestBlockScan`` that stress the candidate balls, each
+    with the k and d it is checked at: a leaf of coincident points, extreme
+    magnitudes, a block straddling two clusters, and lattice ties."""
+    rng = np.random.default_rng(51)
+    straddle = np.concatenate([rng.normal(0.0, 1e-3, size=(40, 2)),
+                               1e4 + rng.normal(0.0, 1e-3, size=(8, 2))])
+    rng = np.random.default_rng(54)
+    sites = rng.integers(0, [6, 6, 4], size=(300, 3))
+    lattice = np.concatenate([sites, sites[rng.integers(0, 300, size=60)]]).astype(np.float64)
+    return {
+        "coincident": (np.full((100, 3), 0.3), (1, 5, 99), (0.5,)),
+        "tiny": (make_cloud(52, 300, dims=2) * 1e-150, (1, 7, 64, 299), (1e-151, 5e-151)),
+        "huge": (make_cloud(52, 300) * 1e150, (1, 7, 64, 299), (1e149, 5e149)),
+        "straddle": (straddle, (1, 8, 9, 40, 47), (2e-3, 1.5e4)),
+        "lattice": (lattice, (1, 6, 26, 359), (1.0, np.sqrt(2.0), 2.0)),
+    }
+
+
+class TestSuperBlocks:
+    """The two-level fetch of the block scans: each super-block takes one
+    tree ball and each of its blocks trims it to its own radius."""
+
+    @pytest.mark.parametrize("cloud", [*stress_clouds(), "field"])
+    def test_each_block_lies_in_one_super_block(self, cloud):
+        pts = make_cloud(61, 3000) if cloud == "field" else stress_clouds()[cloud][0]
+        idx = SpatialIndex(pts)
+        for size in (4, spatial._BLOCK, spatial._RADIUS_BLOCK):
+            starts = idx._blocks(size)
+            for factor in (1, 2, spatial._SUPER):
+                tops = idx._blocks(size * factor)
+                assert tops[0] == 0 and tops[-1] == len(pts)
+                # the super-block of each block's first point holds its last
+                first = np.searchsorted(tops, starts[:-1], "right")
+                assert np.array_equal(first, np.searchsorted(tops, starts[1:] - 1, "right"))
+
+    @pytest.mark.parametrize("factor", [1, 2, 8])
+    @pytest.mark.parametrize("cloud", list(stress_clouds()))
+    def test_scans_match_brute_force(self, cloud, factor, monkeypatch):
+        monkeypatch.setattr(spatial, "_SUPER", factor)
+        monkeypatch.setattr(spatial, "_GROUP", 2)
+        pts, ks, radii = stress_clouds()[cloud]
+        check_knn_window(pts, ks)
+        idx = SpatialIndex(pts)
+        D2 = sq_dist_matrix(pts)
+        rank = np.random.default_rng(factor).permutation(len(pts))
+        for d in radii:
+            want = brute_argmin_rank_in_ball(D2, rank, d)
+            for workers in (1, 2):
+                assert idx.argmin_rank_in_ball(rank, d, workers=workers).tolist() == want
+
+    def test_density_memory_is_bounded(self):
+        # on this cloud the density at k = 200 peaked at 2,702,147-2,706,931
+        # bytes with a tree ball, read from Python lists, and a tree k-NN
+        # query per block, and at 2,039,400-2,043,453 bytes with the balls of
+        # super-blocks trimmed per block (3 runs each); fail at the former
+        pts = np.random.default_rng(26).uniform(0.0, 10.0, size=(20_000, 3))[:, :2]
+        idx = SpatialIndex(pts)
+        tracemalloc.start()
+        try:
+            idx.knn_window(200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_700_000, peak
 
 
 class TestColumnSquaredDistance:
@@ -675,8 +749,8 @@ class TestRankOrderSkip:
         count = [0]
         sq_dist_cols = spatial._sq_dist_cols
 
-        def counted(cols, cand, sub):
-            d2 = sq_dist_cols(cols, cand, sub)
+        def counted(*args):
+            d2 = sq_dist_cols(*args)
             count[0] += d2.size
             return d2
 
