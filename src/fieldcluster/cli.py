@@ -1,13 +1,10 @@
 """Command-line entry point: cluster, eval, synth, and bench subcommands.
 
 Data and JSON reports go to stdout or files; diagnostics go to stderr. The
-exit status is 0 iff no error was reported. ``--threads`` threads the block
-scans (the k-NN density of gdqs and gdqspp, the entry scan of the gdqspp
-core sweep and the lowest-point query of rain) and the tree queries of the
-nearest-below-rank search (zqs, gdqs, and the links and the climb of
-gdqspp), and never changes any output byte. ``eval --sweep-d`` answers
-every d of a zqs or gdqs sweep from one nearest-below-rank query, at the
-largest d.
+exit status is 0 iff no error was reported. ``--threads`` sets the threads
+of every kD-tree index the command builds, and never changes any output
+byte. ``eval --sweep-d`` answers every d of a zqs or gdqs sweep from one
+nearest-below-rank query, at the largest d.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ from .cluster import _ALGO_PARAMS, Params, cluster, cluster_over_d
 from .errors import DataError, FieldClusterError, ParameterError
 from .evaluation import count_report, match_clusters
 from .pointcloud import PointCloud, load_ply, save_ply
+from .spatial import _MAX_WORKERS
 from .synth import _FIELD_TYPES, FieldSpec, generate_field, parse_field_spec
 
 _DEFAULT_K = 1200
@@ -50,11 +48,16 @@ def _build_params(algo: str, d: float | None, k: int | None, beta: float | None)
 
 # an absent --threads becomes -1, one thread per CPU
 _threads_option = click.option(
-    "--threads", type=click.IntRange(min=1), callback=lambda ctx, param, value: value or -1,
-    help="threads of the block scans (the k-NN density of gdqs and gdqspp, the "
-         "gdqspp core sweep's entries, rain) and of the nearest-below-rank "
-         "queries (zqs, gdqs, the gdqspp links and climb); "
-         "outputs do not depend on it [default: one per CPU]")
+    "--threads", type=click.IntRange(min=1, max=_MAX_WORKERS),
+    callback=lambda ctx, param, value: value or -1,
+    help="threads of every kD-tree index the command builds; outputs do not "
+         "depend on it [default: one per CPU]")
+
+
+def _report_head(command: str, params: Params) -> dict:
+    """The fields that open the run report of ``cluster`` and ``bench``."""
+    return {"schema": 1, "command": command, "algorithm": params.algorithm,
+            "params": {"d": params.d, "k": params.k, "beta": params.beta}}
 
 
 def _write_report(doc: dict, path: str | None) -> None:
@@ -98,14 +101,8 @@ def cmd_cluster(input_ply, output_ply, algo, d, k, beta, binary, threads, report
         _fail(exc)
     n_clusters = int(labels.max()) if labels.size else 0
     click.echo(f"clusters: {n_clusters}  points: {cloud.n}  time: {elapsed:.3f}s")
-    _write_report({
-        "schema": 1,
-        "command": "cluster",
-        "algorithm": algo,
-        "params": {"d": params.d, "k": params.k, "beta": params.beta},
-        "points": cloud.n,
-        "clusters": n_clusters,
-    }, report_path)
+    _write_report({**_report_head("cluster", params), "points": cloud.n,
+                   "clusters": n_clusters}, report_path)
 
 
 def _require_labels(path: str, color_mode: str) -> PointCloud:
@@ -113,6 +110,14 @@ def _require_labels(path: str, color_mode: str) -> PointCloud:
     if cloud.labels is None:
         raise DataError(f"{path}: point cloud carries no labels")
     return cloud
+
+
+def _truth_for(pred: PointCloud, truth_ply: str, truth_mode: str) -> PointCloud:
+    """The labeled truth cloud, which must have as many points as ``pred``."""
+    truth = _require_labels(truth_ply, truth_mode)
+    if pred.n != truth.n:
+        raise DataError(f"clouds disagree on point count: {pred.n} vs {truth.n}")
+    return truth
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -168,9 +173,7 @@ def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
     try:
         if sweep_d is None:
             pred = _require_labels(pred_ply, "palette")
-            truth = _require_labels(truth_ply, truth_mode)
-            if pred.n != truth.n:
-                raise DataError(f"clouds disagree on point count: {pred.n} vs {truth.n}")
+            truth = _truth_for(pred, truth_ply, truth_mode)
             match = match_clusters(pred.labels, truth.labels,
                                    ignore_truth_label_zero=ignore_ground)
             counts = count_report(pred.labels, truth.labels)
@@ -191,9 +194,7 @@ def _run_sweep(input_ply, truth_ply, truth_mode, ignore_ground, values,
     """The 20%-count selection protocol: keep the best mean IoU among runs whose
     cluster count is within 20% of the truth cluster count."""
     input_cloud = load_ply(input_ply)
-    truth = _require_labels(truth_ply, truth_mode)
-    if input_cloud.n != truth.n:
-        raise DataError(f"clouds disagree on point count: {input_cloud.n} vs {truth.n}")
+    truth = _truth_for(input_cloud, truth_ply, truth_mode)
     runs = []
     for d, labels in zip(values, cluster_over_d(input_cloud, algo, values, k, threads)):
         match = match_clusters(labels, truth.labels, ignore_truth_label_zero=ignore_ground)
@@ -299,9 +300,8 @@ def cmd_bench(sizes, algo, d, k, beta, repeats, seed, threads, report_path):
                              "seconds": med, "times": times, "ratio": ratio})
     except FieldClusterError as exc:
         _fail(exc)
-    _write_report({"schema": 1, "command": "bench", "algorithm": algo,
-                   "params": {"d": params.d, "k": params.k, "beta": params.beta},
-                   "repeats": repeats, "rows": rows_out}, report_path)
+    _write_report({**_report_head("bench", params), "repeats": repeats, "rows": rows_out},
+                  report_path)
 
 
 if __name__ == "__main__":

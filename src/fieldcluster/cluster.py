@@ -219,28 +219,26 @@ def rain_parents(cloud: PointCloud, d: float, *,
     The ball contains the point itself, so roots are exactly the points that
     are the lowest in their own neighborhood; (z, index) never increases along
     an edge, which makes the forest acyclic. ``index`` reuses a prebuilt 3D
-    index over the cloud's points; ``workers`` threads its scan of the
-    index's blocks, which reads each block's candidates in rank order (-1:
-    one per CPU), with the same result at any thread count.
+    index over the cloud's points, with its own thread count; otherwise one
+    is built with ``workers`` threads (see ``SpatialIndex``).
     """
     _check_sizes(cloud, index=index)
     if index is None:
-        index = SpatialIndex(cloud.points)
+        index = SpatialIndex(cloud.points, workers)
     rank = _order_and_rank(cloud.points[:, 2])[1]
-    return ParentForest(index.argmin_rank_in_ball(rank, d, workers=workers))
+    return ParentForest(index.argmin_rank_in_ball(rank, d))
 
 
 def zqs_parents(cloud: PointCloud, d: float, *,
                 index: SpatialIndex | None = None, workers: int = 1) -> ParentForest:
     """Quickshift with height as inverse density: link each point to its
     nearest strictly lower (z, then index) neighbor within d; roots have no
-    lower neighbor in range. ``workers`` threads the query (-1: one per CPU),
-    with the same result at any thread count."""
+    lower neighbor in range. ``index`` and ``workers`` are those of
+    ``rain_parents``."""
     _check_sizes(cloud, index=index)
     if index is None:
-        index = SpatialIndex(cloud.points)
-    nb = index.nearest_below_rank(_order_and_rank(cloud.points[:, 2])[1], d=d,
-                                  workers=workers)
+        index = SpatialIndex(cloud.points, workers)
+    nb = index.nearest_below_rank(_order_and_rank(cloud.points[:, 2])[1], d=d)
     return ParentForest(_quickshift_parents(nb))
 
 
@@ -250,30 +248,29 @@ def knn_density_2d(cloud: PointCloud, k: int, workers: int = 1) -> DensityField:
 
     rho comes from ``SpatialIndex.knn_window``, which scans the 2D points in
     kD-tree blocks, each against one candidate set, and is exact; no neighbor
-    windows are kept. ``workers`` threads the scan (-1: one per CPU); the
-    result does not depend on it.
+    windows are kept. ``workers`` is the thread count of the 2D index that
+    it builds and keeps as ``index2d`` (see ``SpatialIndex``).
     """
-    index2d = SpatialIndex(cloud.points[:, :2])
-    rho, _ = index2d.knn_window(k, workers=workers)
+    index2d = SpatialIndex(cloud.points[:, :2], workers)
+    rho, _ = index2d.knn_window(k)
     return DensityField(rho=rho, k=int(k), index2d=index2d)
 
 
-def gdqs_parents(cloud: PointCloud, d: float, density: DensityField, *,
-                 workers: int = 1) -> ParentForest:
+def gdqs_parents(cloud: PointCloud, d: float, density: DensityField) -> ParentForest:
     """2D quickshift under the k-NN density: link each point to its nearest
     (2D distance, then index) neighbor of strictly higher density within d.
 
     Equal finite densities do not parent each other; coincident projections
     resolve through the infinite class's index order. Labels derived from the
-    forest apply to the 3D points unchanged. ``workers`` threads the query
-    (-1: one per CPU), with the same result at any thread count.
+    forest apply to the 3D points unchanged. The query runs on the threads
+    of ``density.index2d``.
     """
     _check_sizes(cloud, density=density)
-    nb = density.index2d.nearest_below_rank(density.parent_rank, d=d, workers=workers)
+    nb = density.index2d.nearest_below_rank(density.parent_rank, d=d)
     return ParentForest(_quickshift_parents(nb))
 
 
-def _sweep_edges(density: DensityField, workers: int):
+def _sweep_edges(density: DensityField):
     """What the core sweep reads at each point's step, O(n) in all.
 
     Point i's earlier neighbors are the j sweeping before i with
@@ -286,19 +283,17 @@ def _sweep_edges(density: DensityField, workers: int):
     earliest point. One radius scan of the 2D index grouped by tree root,
     ``directed_radius_lists``, then gives per owner the root of each *other*
     link tree among its earlier neighbors, mutual iff one of them there is.
-    ``workers`` threads both. Neither keeps n * k entries, and the result
-    does not depend on the scan's order or threads. Returns ``(link, eoff,
+    Neither keeps n * k entries, and the result does not depend on the
+    scan's order. Returns ``(link, eoff,
     early, mutual)``: owner i's entries are ``early[eoff[i]:eoff[i + 1]]``.
     """
     rho, rank = density.rho, density.sweep_rank
-    link = _quickshift_parents(density.index2d.nearest_below_rank(rank, reach=rho,
-                                                                  workers=workers))
+    link = _quickshift_parents(density.index2d.nearest_below_rank(rank, reach=rho))
     tree = _resolve_to_fixpoint(link)
-    return (link, *density.index2d.directed_radius_lists(rho, rank, tree, workers=workers))
+    return (link, *density.index2d.directed_radius_lists(rho, rank, tree))
 
 
-def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float, *,
-                  workers: int = 1) -> CoreSet:
+def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float) -> CoreSet:
     """Find the dense 2D regions that seed quickshift++ clusters.
 
     Sweeps points in decreasing density order over the mutual k-NN graph,
@@ -325,8 +320,7 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
     with it; the two are not merged, because merging locked components
     changes no snapshot. The merged sets, modes and lock
     states are those of the full mutual graph, whatever the scan's order.
-    ``workers`` threads the window growth of the links and the entry scan
-    (-1: one per CPU); the result does not depend on it.
+    The links and the entry scan run on the threads of ``density.index2d``.
 
     Locking needs no heap: a pointer ``due`` walks the sweep order behind the
     current step. The lock threshold (1 - beta) * density never rises along
@@ -354,7 +348,7 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float,
         raise ContractError(f"density was computed with k={density.k}, asked to use k={k}")
     _check_sizes(cloud, density=density)
     n = cloud.n
-    link, eoff, early, mutual = _sweep_edges(density, workers)
+    link, eoff, early, mutual = _sweep_edges(density)
     parent = link.tolist()
     rank = density.sweep_rank.tolist()
     # the roots of the unlocked components, and at each core's mode the step
@@ -417,9 +411,9 @@ def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
                   index3: SpatialIndex | None = None, workers: int = 1) -> np.ndarray:
     """Label core points by their core, then climb every remaining point through
     its nearest strictly-denser 3D neighbor (uncapped search) until a core is
-    reached. Returns labels renumbered 1..C by first appearance. ``workers``
-    threads the search (-1: one per CPU), with the same result at any thread
-    count."""
+    reached. Returns labels renumbered 1..C by first appearance. ``index3``
+    reuses a prebuilt 3D index, with its own thread count; otherwise one is
+    built with ``workers`` threads (see ``SpatialIndex``)."""
     _check_sizes(cloud, density=density, cores=cores, index3=index3)
     n = cloud.n
     if n == 0:
@@ -431,8 +425,8 @@ def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
     nb = np.full(n, -1, dtype=np.int64)
     if noncore.size:
         if index3 is None:
-            index3 = SpatialIndex(cloud.points)
-        nb = index3.nearest_below_rank(density.sweep_rank, subset=noncore, workers=workers)
+            index3 = SpatialIndex(cloud.points, workers)
+        nb = index3.nearest_below_rank(density.sweep_rank, subset=noncore)
         if (nb[noncore] < 0).any():
             raise ContractError("a non-core point has no denser point to climb to")
     target = _resolve_to_fixpoint(_quickshift_parents(nb))
@@ -452,12 +446,9 @@ def forest_to_labels(forest: ParentForest) -> np.ndarray:
 
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
-    deterministic for fixed input, parameters, and any ``workers``, which
-    threads the block scans (the k-NN density, the entry scan of the
-    ``gdqspp`` core sweep and the lowest-point query of ``rain``) and the tree
-    queries of the nearest-below-rank search (``zqs``, ``gdqs``, and the
-    links of the ``gdqspp`` core sweep and its climb). It is the one-run case
-    of the generator behind ``cluster_over_d``."""
+    deterministic for fixed input and parameters. ``workers`` sets the
+    threads of every kD-tree index it builds (see ``SpatialIndex``). It is
+    the one-run case of the generator behind ``cluster_over_d``."""
     return next(_labels(cloud, [params], workers))
 
 
@@ -494,19 +485,18 @@ def _labels(cloud: PointCloud, runs: list[Params], workers: int) -> Iterator[np.
     elif n == 1 and k is not None:
         raise DataError(f"algorithm {algo!r} needs at least 2 points, got 1")
     elif algo == "gdqspp":
-        density = knn_density_2d(cloud, k, workers=workers)
+        density = knn_density_2d(cloud, k, workers)
         for p in runs:
-            cores = extract_cores(cloud, density, k, p.beta, workers=workers)
+            cores = extract_cores(cloud, density, k, p.beta)
             yield gdqspp_assign(cloud, density, cores, workers=workers)
     elif algo == "rain":
-        index = SpatialIndex(cloud.points)
+        index = SpatialIndex(cloud.points, workers)
         for p in runs:
-            yield forest_to_labels(rain_parents(cloud, p.d, index=index, workers=workers))
+            yield forest_to_labels(rain_parents(cloud, p.d, index=index))
     else:
         d = max((p.d for p in runs), key=lambda d: d * d)
         if algo == "gdqs":
-            parent = gdqs_parents(cloud, d, knn_density_2d(cloud, k, workers=workers),
-                                  workers=workers).parent
+            parent = gdqs_parents(cloud, d, knn_density_2d(cloud, k, workers)).parent
             points = cloud.points[:, :2]
         else:
             parent = zqs_parents(cloud, d, workers=workers).parent

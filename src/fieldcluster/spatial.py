@@ -44,11 +44,8 @@ vectorized. It finds the nearest lower-ranked point within d (``zqs``,
 ``gdqs``), anywhere (the ``gdqspp`` climb), or within the lower-ranked
 point's own reach (the links of the ``gdqspp`` core sweep).
 
-The index is read-only after construction. Both engines take a thread count
-(``workers``, with no effect on results): the block scans thread over groups
-of super-blocks, the calling thread among them, and the nearest-below-rank
-search hands it to the tree query that fetches each round's windows, which
-takes most of its time.
+The index is read-only after construction, its thread count included (see
+``SpatialIndex``).
 """
 
 from __future__ import annotations
@@ -61,6 +58,11 @@ import numpy as np
 from .errors import ParameterError
 from .pointcloud import _checked_points
 
+# the most threads an index may take: scipy's tree query starts min(workers,
+# rows) OS threads on every call, and the nearest-below-rank search queries up
+# to _CHUNK_ELEMS // kk rows a call, so a count in the thousands would ask the
+# OS for that many threads every round
+_MAX_WORKERS = 256
 # soft bound on elements touched per vectorized query round; its 8-byte
 # temporaries (35 MB) lie clearly above glibc's 32 MiB ceiling on the dynamic
 # mmap threshold, so each is mapped and returned whole instead of coming from
@@ -102,14 +104,6 @@ def _check_d(d: float) -> None:
         raise ParameterError(f"d must be positive and d*d must not underflow to 0, got {d}")
 
 
-def _threads(workers: int) -> int:
-    """The thread count of a block scan: ``workers``, or one per CPU for -1."""
-    threads = (os.cpu_count() or 1) if workers == -1 else workers
-    if not 1 <= threads or int(threads) != threads:
-        raise ParameterError(f"workers must be -1 or a positive integer, got {workers}")
-    return int(threads)
-
-
 def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray,
                   at: tuple | None = None) -> np.ndarray:
     """Exact squared distances from point sub[r] to the points idx[r] (a 2D
@@ -139,9 +133,22 @@ def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray,
 
 
 class SpatialIndex:
-    """Balanced kD-tree over a read-only private copy of 2D or 3D coordinates."""
+    """Balanced kD-tree over a read-only private copy of 2D or 3D coordinates.
 
-    def __init__(self, points: np.ndarray):
+    ``workers`` is the index's thread count: an integer from 1 to
+    ``_MAX_WORKERS``, or -1 for one per CPU up to that bound. Every query of
+    the index runs on its threads, and no result depends on them: the block
+    scans thread over groups of super-blocks, the calling thread among them,
+    and the nearest-below-rank search hands the count to the tree query that
+    fetches each round's windows, which takes most of its time.
+    """
+
+    def __init__(self, points: np.ndarray, workers: int = 1):
+        threads = min(os.cpu_count() or 1, _MAX_WORKERS) if workers == -1 else workers
+        if not 1 <= threads <= _MAX_WORKERS or int(threads) != threads:
+            raise ParameterError(
+                f"workers must be -1 or an integer in [1, {_MAX_WORKERS}], got {workers}")
+        self._workers = int(threads)
         self.points = pts = _checked_points(points, (2, 3))
         self.n = pts.shape[0]
         # per-axis views: gathers from them run as fast as from contiguous
@@ -169,7 +176,7 @@ class SpatialIndex:
         starts.append(self.n)
         return np.array(starts, dtype=np.int64)
 
-    def _block_groups(self, size: int, reach, scan, threads: int) -> None:
+    def _block_groups(self, size: int, reach, scan) -> None:
         """Fetch the candidates of the points' blocks, one group at a time.
 
         Points close in the plane share most of their neighbors, so the
@@ -210,7 +217,7 @@ class SpatialIndex:
         its square by 2e-9, far above these. So no needed candidate fails
         the trim, and the scans are as exact as with a tree ball per block.
 
-        ``threads`` threads take the groups, the calling thread among them:
+        The index's threads take the groups, the calling thread among them:
         a pool thread's heap keeps its temporaries resident after the scan,
         where the calling thread's heap serves the stages that follow. A scan
         writes only the rows of its own blocks, or keeps per-group results
@@ -237,7 +244,7 @@ class SpatialIndex:
 
         top_centre, top_far = boxes(tops)
         top_radius = reach(top_centre, top_far, box_max(tops), lambda kq: self._tree.query(
-            top_centre, k=[kq], workers=threads)[0][:, 0])
+            top_centre, k=[kq], workers=self._workers)[0][:, 0])
         centre, far = boxes(starts)
         centre_cols = tuple(centre.T)
         del pts
@@ -271,14 +278,14 @@ class SpatialIndex:
             for group in groups:
                 scan(trimmed(group))
 
-        helpers = min(threads, ngroups) - 1
+        helpers = min(self._workers, ngroups) - 1
         with ThreadPoolExecutor(max(1, helpers)) as pool:
             running = [pool.submit(work) for _ in range(helpers)]
             work()
             for helper in running:
                 helper.result()  # re-raises a helper's error
 
-    def _block_scan(self, size: int, reach, step, threads: int, keep=None) -> None:
+    def _block_scan(self, size: int, reach, step, keep=None) -> None:
         """Scan the points in blocks of ``_block_groups``, each against its
         candidate ball: ``keep(rows, cand)``, when given, cuts the ball to the
         candidates that the block's rows can use, and a block with none left
@@ -309,11 +316,11 @@ class SpatialIndex:
                     d2 = _sq_dist_cols(self._cols, cand, sub)
                     step(sub, cand, d2)
 
-        self._block_groups(size, reach, scan, threads)
+        self._block_groups(size, reach, scan)
 
     # ------------------------------------------------------------- bulk kNN
 
-    def knn_window(self, k: int, workers: int = 1, return_indices: bool = False):
+    def knn_window(self, k: int, return_indices: bool = False):
         """Per-point k-NN radius, optionally with the neighbor windows.
 
         Returns (rho, idx): rho[i] is the squared distance to the k-th nearest
@@ -343,13 +350,9 @@ class SpatialIndex:
         slack covers: R_b is a valid bound, and the block keeps the points of
         the super-block's ball within its own 2 far + R_b, which hold all
         that its rows need.
-
-        ``workers`` threads (-1: one per CPU) scan groups of super-blocks; the
-        result is the same at any thread count.
         """
         if not 1 <= k <= self.n - 1 or int(k) != k:
             raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {self.n - 1}, got {k}")
-        threads = _threads(workers)
         k = int(k)
         kq = min(self.n, k + 2)
         rho = np.empty(self.n, dtype=np.float64)
@@ -366,10 +369,10 @@ class SpatialIndex:
             d2.partition(k, axis=1)
             rho[sub] = d2[:, k]
 
-        self._block_scan(_BLOCK, reach, step, threads)
+        self._block_scan(_BLOCK, reach, step)
         return rho, win
 
-    def radius_scan(self, rho: np.ndarray, step, *, keep=None, workers: int = 1) -> None:
+    def radius_scan(self, rho: np.ndarray, step, *, keep=None) -> None:
         """Scan every point's ball of squared radius rho[i] in row chunks:
         ``step(sub, cand, d2)`` gets the exact squared distances d2[r] from
         point sub[r] to the candidates ``cand``, which hold every j with
@@ -379,27 +382,25 @@ class SpatialIndex:
         (``_block_scan``): every point within sqrt(rho[i]) of a block point i
         lies within far + max sqrt(rho) over the block of the block's centre
         c; that ball, grown by ``_BOUND_SLACK``, is the block's candidate set,
-        trimmed from its super-block's ball by the same rule. ``workers``
-        threads (-1: one per CPU) scan groups of super-blocks, so a step
-        may write only its own rows, or keep a result whose order does not
-        matter.
+        trimmed from its super-block's ball by the same rule. Threads scan
+        groups of super-blocks, so a step may write only its own rows, or
+        keep a result whose order does not matter.
         """
-        threads = _threads(workers)
         root = np.sqrt(rho)
 
         def reach(centre, far, block_max, near):
             return (far + block_max(root)) * _BOUND_SLACK
 
-        self._block_scan(_RADIUS_BLOCK, reach, step, threads, keep)
+        self._block_scan(_RADIUS_BLOCK, reach, step, keep)
 
-    def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray, group: np.ndarray, *,
-                              workers: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def directed_radius_lists(self, rho: np.ndarray, rank: np.ndarray,
+                              group: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR lists of the groups other than i's own among i's earlier
         neighbors within its own radius, {j : rank[j] < rank[i], dist^2(i, j)
         <= rho[i]}, each mutual iff one of those j in it has dist^2(i, j) <=
         rho[j] as well. Returns (offsets, flat, mutual), rows and groups
-        ascending. A ``radius_scan``: the result does not depend on its order
-        or threads, and with one group per point it is the full lists.
+        ascending. A ``radius_scan``: the result does not depend on its
+        order, and with one group per point it is the full lists.
 
         An entry is one int64 key, (i * n + g) * 2 + 1 unless mutual, which
         fits for n < 2^31: the one chunk holding row i keeps its least key per
@@ -428,7 +429,7 @@ class SpatialIndex:
             key = np.unique((sub[r] * n + group[j]) * 2 + (d2[r, c] > rho[j]))
             keys.append(key[np.diff(key >> 1, prepend=-1) != 0])
 
-        self.radius_scan(rho, step, keep=keep, workers=workers)
+        self.radius_scan(rho, step, keep=keep)
         key = np.sort(np.concatenate(keys))
         owner, flat = np.divmod(key >> 1, n)
         offsets = np.searchsorted(owner, np.arange(n + 1))
@@ -436,13 +437,11 @@ class SpatialIndex:
 
     # ------------------------------------------------- rank-directed queries
 
-    def argmin_rank_in_ball(self, rank: np.ndarray, d: float, *, workers: int = 1) -> np.ndarray:
+    def argmin_rank_in_ball(self, rank: np.ndarray, d: float) -> np.ndarray:
         """For each point, the point of minimal rank within its open d-ball.
 
         rank must be a permutation of 0..n-1 (a strict total order); the ball
-        always contains the point itself, so the result is total. ``workers``
-        threads (-1: one per CPU) scan groups of blocks, with the same result
-        at any thread count.
+        always contains the point itself, so the result is total.
 
         The blocks are those of ``radius_scan`` at squared radius d*d, so each
         block's candidates hold every point within d of its rows. Each group
@@ -469,7 +468,6 @@ class SpatialIndex:
         never skipped: top[i] < c_i <= M there.
         """
         _check_d(d)
-        threads = _threads(workers)
         n = self.n
         cap = d * d
         by_rank = np.empty(n, dtype=np.int64)
@@ -523,12 +521,12 @@ class SpatialIndex:
         def reach(centre, far, block_max, near):
             return (far + d) * _BOUND_SLACK
 
-        self._block_groups(_RADIUS_BLOCK, reach, scan, threads)
+        self._block_groups(_RADIUS_BLOCK, reach, scan)
         return low
 
     def nearest_below_rank(self, rank: np.ndarray, d: float | None = None, *,
-                           reach: np.ndarray | None = None, subset: np.ndarray | None = None,
-                           workers: int = 1) -> np.ndarray:
+                           reach: np.ndarray | None = None,
+                           subset: np.ndarray | None = None) -> np.ndarray:
         """For each member i: the j minimizing (distance, index) among points of
         strictly smaller rank, within the open d-ball when d is given and
         anywhere otherwise, and with dist^2(i, j) <= reach[j] when ``reach``
@@ -536,9 +534,7 @@ class SpatialIndex:
         with rank (reach[j] <= reach[i] where rank[j] < rank[i];
         ParameterError otherwise), so a window whose farthest point lies
         beyond reach[i] holds every such j. With ``subset``, only those
-        members are resolved (others stay -1). ``workers`` threads the tree
-        query of the window growth (-1: one per CPU), with the same result at
-        any thread count."""
+        members are resolved (others stay -1)."""
         if d is not None:
             _check_d(d)
         if reach is not None:
@@ -546,7 +542,6 @@ class SpatialIndex:
             by_rank = reach[np.lexsort((reach, rank))]
             if not (by_rank[1:] >= by_rank[:-1]).all():
                 raise ParameterError("reach must not decrease with rank")
-        threads = _threads(workers)
         n = self.n
         out = np.full(n, -1, dtype=np.int64)
         if n <= 1:
@@ -558,7 +553,7 @@ class SpatialIndex:
             # exact d^2; returns the mask of rows whose answer the window
             # settles, after recording it. Its temporaries go before the next
             # chunk's tree query, which lowers the peak of a gdqs sweep
-            _, idx = self._tree.query(self.points[sub], k=kk, workers=threads)
+            _, idx = self._tree.query(self.points[sub], k=kk, workers=self._workers)
             idx = np.atleast_2d(idx).astype(np.int64, copy=False)
             d2 = _sq_dist_cols(self._cols, idx, sub)
             ok = (idx != sub[:, None]) & (rank[idx] < rank[sub][:, None]) & (d2 < cap)

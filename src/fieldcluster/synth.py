@@ -47,6 +47,11 @@ class FieldSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # NaN passes most range checks below, and inf fails only in generate_field
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value}")
         if self.rows < 1 or self.cols < 1:
             raise ParameterError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
         if self.row_spacing <= 0 or self.plant_spacing <= 0:

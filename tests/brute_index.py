@@ -17,7 +17,7 @@ class BruteIndex:
         diff = pts[:, None, :] - pts[None, :, :]
         self._d2 = np.einsum("ijk,ijk->ij", diff, diff)
 
-    def knn_window(self, k, workers=1, return_indices=False):
+    def knn_window(self, k, return_indices=False):
         rho = np.sort(self._d2, axis=1)[:, k]
         idx = None
         if return_indices:
@@ -25,20 +25,20 @@ class BruteIndex:
             idx = np.argsort(self._d2, axis=1, kind="stable")[:, :kq].astype(np.int32)
         return rho, idx
 
-    def radius_scan(self, rho, step, *, keep=None, workers=1):
+    def radius_scan(self, rho, step, *, keep=None):
         # one chunk: every point against every point, none of them dropped
         step(np.arange(self.n), np.arange(self.n), self._d2)
 
     # the kD-tree's reduction over this index's one-chunk scan
     directed_radius_lists = SpatialIndex.directed_radius_lists
 
-    def argmin_rank_in_ball(self, rank, d, *, workers=1):
+    def argmin_rank_in_ball(self, rank, d):
         order = np.empty(self.n, dtype=np.int64)
         order[rank] = np.arange(self.n)
         masked = np.where(self._d2 < d * d, rank[None, :], self.n)
         return order[masked.min(axis=1)]
 
-    def nearest_below_rank(self, rank, d=None, *, reach=None, subset=None, workers=1):
+    def nearest_below_rank(self, rank, d=None, *, reach=None, subset=None):
         cap = np.inf if d is None else d * d
         ok = (rank[None, :] < rank[:, None]) & (self._d2 < cap)
         if reach is not None:

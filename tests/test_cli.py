@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import fieldcluster
-from fieldcluster import FieldSpec, PointCloud, load_ply, save_ply
+from fieldcluster import FieldSpec, PointCloud, cli, load_ply, save_ply, spatial
 from fieldcluster.cli import main
 
 
@@ -50,6 +50,13 @@ class TestSynth:
         result = runner.invoke(main, ["synth", str(tmp_path / "x.ply"), "--rows", "0"])
         assert result.exit_code == 2
         assert "1x1" in result.output
+
+    @pytest.mark.parametrize("flag, value", [("--ground-point-density", "inf"),
+                                             ("--noise-sigma", "nan")])
+    def test_non_finite_float_usage_error(self, tmp_path, runner, flag, value):
+        result = runner.invoke(main, ["synth", str(tmp_path / "x.ply"), flag, value])
+        assert result.exit_code == 2
+        assert flag[2:].replace("-", "_") + " must be finite" in result.output
 
     def test_config_file(self, tmp_path, runner):
         cfg = tmp_path / "field.cfg"
@@ -321,6 +328,26 @@ class TestBench:
         result = runner.invoke(main, ["bench", f"--sizes={sizes}", *params, "--repeats", "1"])
         assert result.exit_code == 2, result.output
         assert "--sizes must be positive" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["cluster", "{field}", "{out}", "--algo", "zqs", "--d", "0.2"],
+    ["eval", "{field}", "{field}", "--sweep-d", "0.1:0.1:0.1", "--algo", "zqs"],
+    ["bench", "--sizes", "2000", "--algo", "zqs", "--d", "0.1", "--repeats", "1"],
+])
+@pytest.mark.parametrize("threads", [str(spatial._MAX_WORKERS + 1), "100000"])
+def test_threads_above_the_bound_usage_error(small_field, tmp_path, runner, monkeypatch,
+                                             args, threads):
+    # refused before a cloud is read or made, so no thread starts
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cloud was read or made")
+
+    monkeypatch.setattr(cli, "load_ply", unreachable)
+    monkeypatch.setattr(cli, "generate_field", unreachable)
+    args = [a.format(field=small_field, out=tmp_path / "o.ply") for a in args]
+    result = runner.invoke(main, args + ["--threads", threads])
+    assert result.exit_code == 2
+    assert "--threads" in result.output
 
 
 def test_version(runner):

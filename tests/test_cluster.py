@@ -245,22 +245,22 @@ class TestExtractCores:
         # order; neither the sweep's entries nor the cores may follow it
         cloud = PointCloud(make_cloud_with_stems(24, 6, 20, extra=400))
         dens = knn_density_2d(cloud, 8)
-        want_edges = _sweep_edges(dens, 1)
+        want_edges = _sweep_edges(dens)
         want = extract_cores(cloud, dens, 8, beta)
         scan = SpatialIndex.radius_scan
         rng = np.random.default_rng(25)
         moved = []
 
-        def shuffled(self, rho, step, *, keep=None, workers=1):
+        def shuffled(self, rho, step, *, keep=None):
             def permuted(sub, cand, d2):
                 perm = rng.permutation(cand.size)
                 moved.append(not np.array_equal(perm, np.arange(cand.size)))
                 step(sub, cand[perm], d2[:, perm])
-            scan(self, rho, permuted, keep=keep, workers=workers)
+            scan(self, rho, permuted, keep=keep)
 
         monkeypatch.setattr(SpatialIndex, "radius_scan", shuffled)
         for _ in range(5):
-            for a, b in zip(_sweep_edges(dens, 1), want_edges, strict=True):
+            for a, b in zip(_sweep_edges(dens), want_edges, strict=True):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             got = extract_cores(cloud, dens, 8, beta)
             assert [c.tolist() for c in got.cores] == [c.tolist() for c in want.cores]
@@ -277,18 +277,18 @@ class TestExtractCores:
         scan = SpatialIndex.radius_scan
         blocks = []
 
-        def spy(self, rho, step, *, keep=None, workers=1):
+        def spy(self, rho, step, *, keep=None):
             def recorded(sub, cand, d2):
                 # one chunk per block on a cloud this small
                 blocks.append((sub, cand))
                 step(sub, cand, d2)
-            scan(self, rho, recorded, keep=keep if cut else None, workers=workers)
+            scan(self, rho, recorded, keep=keep if cut else None)
 
         monkeypatch.setattr(SpatialIndex, "radius_scan", spy)
         edges, later, same_tree = {}, {}, {}
         for cut in (True, False):
             blocks.clear()
-            edges[cut] = _sweep_edges(dens, 1)
+            edges[cut] = _sweep_edges(dens)
             tree = _resolve_to_fixpoint(edges[cut][0])
             later[cut] = sum(int((rank[cand] >= rank[sub].max()).sum()) for sub, cand in blocks)
             same_tree[cut] = sum(int((tree[cand] == tree[sub[0]]).sum())
@@ -303,7 +303,7 @@ class TestExtractCores:
         # on random clouds a row often reaches another link tree through a
         # mutual neighbor and a nearer non-mutual one; lattice clouds seldom do
         for pts in (make_cloud(27, 300), make_cloud_with_stems(28, 4, 20, extra=200)):
-            edges = _sweep_edges(knn_density_2d(PointCloud(pts), k), 1)
+            edges = _sweep_edges(knn_density_2d(PointCloud(pts), k))
             assert sweep_rows(*edges) == slow_sweep_entries(pts, k)
 
     def test_sweep_memory_does_not_grow_with_k(self, monkeypatch):
@@ -528,6 +528,15 @@ class TestClusterDispatch:
             a = cluster(cloud, params, workers=1)
             b = cluster(cloud, params, workers=2)
             assert np.array_equal(a, b)
+
+    def test_thread_count_above_the_bound_raises(self):
+        # refused by the first index built, before any thread starts
+        cloud = PointCloud(make_cloud(26, 50))
+        for params in (Params("rain", d=0.3), Params("zqs", d=0.3),
+                       Params("gdqs", d=0.3, k=8), Params("gdqspp", k=8, beta=0.3)):
+            for workers in (spatial._MAX_WORKERS + 1, 100_000):
+                with pytest.raises(ParameterError, match="workers"):
+                    cluster(cloud, params, workers=workers)
 
     def test_gdqspp_makes_one_radius_scan(self, monkeypatch):
         # the links come from window growth; only the entries need a scan

@@ -17,12 +17,12 @@ LINE3 = np.array([[0.0, 0, 0], [1, 0, 0], [3, 0, 0]])
 IDENTITY3 = np.arange(3)
 
 
-def sweep_edges(index, rho, workers=1):
+def sweep_edges(index, rho):
     """The core sweep's links and entries (link, eoff, early, mutual) over
     ``index``, 2D or 3D, under rho: ``_sweep_edges`` reads only these three
     fields of a density, whose own index must be 2D."""
     density = SimpleNamespace(rho=rho, sweep_rank=_order_and_rank(rho)[1], index2d=index)
-    return _sweep_edges(density, workers)
+    return _sweep_edges(density)
 
 
 def assert_same_bytes(got, want):
@@ -264,7 +264,7 @@ def check_radius_scan(idx, D2, rho):
     assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(len(rho)))
 
 
-def check_directed_lists(idx, D2, rho, workers=1):
+def check_directed_lists(idx, D2, rho):
     """directed_radius_lists against the dense matrix: with one group per
     point, every earlier neighbor within rho[i], ascending, mutual ones
     marked; with two and three groups, the other groups among those
@@ -273,7 +273,7 @@ def check_directed_lists(idx, D2, rho, workers=1):
     both mutual and other neighbors, at three groups."""
     n = len(rho)
     rank = np.random.default_rng(n).permutation(n)
-    offsets, flat, mutual = idx.directed_radius_lists(rho, rank, np.arange(n), workers=workers)
+    offsets, flat, mutual = idx.directed_radius_lists(rho, rank, np.arange(n))
     assert offsets.dtype == flat.dtype == np.int64 and mutual.dtype == bool
     for i in range(n):
         want = np.flatnonzero((D2[i] <= rho[i]) & (rank < rank[i]))
@@ -281,7 +281,7 @@ def check_directed_lists(idx, D2, rho, workers=1):
         assert mutual[offsets[i]:offsets[i + 1]].tolist() == (D2[i, want] <= rho[want]).tolist()
     for groups in (2, 3):
         group = np.arange(n) % groups
-        offsets, flat, mutual = idx.directed_radius_lists(rho, rank, group, workers=workers)
+        offsets, flat, mutual = idx.directed_radius_lists(rho, rank, group)
         several = mixed = 0
         for i in range(n):
             near = np.flatnonzero((D2[i] <= rho[i]) & (rank < rank[i]) & (group != group[i]))
@@ -358,36 +358,35 @@ class TestBlockScan:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads interleave as often as they can
         try:
+            threaded = [SpatialIndex(pts, workers) for workers in (2, 3)]
             rank = np.random.default_rng(55).permutation(len(pts))
             low = idx.argmin_rank_in_ball(rank, 0.3)
-            for workers in (2, 3):
-                assert np.array_equal(idx.argmin_rank_in_ball(rank, 0.3, workers=workers), low)
+            for idx_t in threaded:
+                assert np.array_equal(idx_t.argmin_rank_in_ball(rank, 0.3), low)
             for k in (3, 40):
-                rho, win = idx.knn_window(k, workers=1, return_indices=True)
-                edges = sweep_edges(idx, rho, workers=1)
-                for workers in (2, 3):
-                    rho_t, win_t = idx.knn_window(k, workers=workers, return_indices=True)
+                rho, win = idx.knn_window(k, return_indices=True)
+                edges = sweep_edges(idx, rho)
+                for idx_t in threaded:
+                    rho_t, win_t = idx_t.knn_window(k, return_indices=True)
                     assert rho_t.tobytes() == rho.tobytes()
                     assert np.array_equal(win_t, win)
-                    assert idx.knn_window(k, workers=workers)[0].tobytes() == rho.tobytes()
-                    assert_same_bytes(sweep_edges(idx, rho, workers=workers), edges)
+                    assert idx_t.knn_window(k)[0].tobytes() == rho.tobytes()
+                    assert_same_bytes(sweep_edges(idx_t, rho), edges)
         finally:
             sys.setswitchinterval(interval)
 
-    def test_workers_checked(self):
-        idx = SpatialIndex(make_cloud(56, 50))
-        rho, _ = idx.knn_window(3)
-        for workers in (0, -2, 1.5):
+    def test_workers_checked(self, monkeypatch):
+        # checked once, when the index is built; no count here starts a thread
+        pts = make_cloud(56, 50)
+        for workers in (0, -2, 1.5, np.nan, np.inf, spatial._MAX_WORKERS + 1, 100_000):
             with pytest.raises(ParameterError, match="workers"):
-                idx.knn_window(3, workers=workers)
-            with pytest.raises(ParameterError, match="workers"):
-                idx.radius_scan(rho, lambda sub, cand, d2: None, workers=workers)
-            with pytest.raises(ParameterError, match="workers"):
-                idx.directed_radius_lists(rho, np.arange(50), np.arange(50), workers=workers)
-            with pytest.raises(ParameterError, match="workers"):
-                idx.argmin_rank_in_ball(np.arange(50), 0.5, workers=workers)
-            with pytest.raises(ParameterError, match="workers"):
-                idx.nearest_below_rank(np.arange(50), workers=workers)
+                SpatialIndex(pts, workers)
+        assert SpatialIndex(pts, 2.0)._workers == 2
+        assert SpatialIndex(pts, spatial._MAX_WORKERS)._workers == spatial._MAX_WORKERS
+        # -1 takes one thread per CPU, up to the same bound
+        for cpus, want in ((3, 3), (None, 1), (10 ** 6, spatial._MAX_WORKERS)):
+            monkeypatch.setattr(spatial.os, "cpu_count", lambda: cpus)
+            assert SpatialIndex(pts, -1)._workers == want
 
     def test_one_thread_scans_in_the_calling_thread(self, monkeypatch):
         # no pool thread at one thread: its heap kept more temporaries resident
@@ -414,11 +413,11 @@ class TestBlockScan:
         rng = np.random.default_rng(59)
         sites = rng.integers(0, 12, size=(400, 2))
         pts = np.concatenate([sites, sites[rng.integers(0, 400, size=80)]]).astype(np.float64)
-        idx = SpatialIndex(pts)
+        idx = SpatialIndex(pts, workers)
         D2 = sq_dist_matrix(pts)
         for k in (4, 12, 30):
             rho, _ = idx.knn_window(k)
-            several, mixed = check_directed_lists(idx, D2, rho, workers)
+            several, mixed = check_directed_lists(idx, D2, rho)
             assert several > 0 and mixed > 0
 
 
@@ -465,13 +464,13 @@ class TestSuperBlocks:
         monkeypatch.setattr(spatial, "_GROUP", 2)
         pts, ks, radii = stress_clouds()[cloud]
         check_knn_window(pts, ks)
-        idx = SpatialIndex(pts)
+        indexes = [SpatialIndex(pts, workers) for workers in (1, 2)]
         D2 = sq_dist_matrix(pts)
         rank = np.random.default_rng(factor).permutation(len(pts))
         for d in radii:
             want = brute_argmin_rank_in_ball(D2, rank, d)
-            for workers in (1, 2):
-                assert idx.argmin_rank_in_ball(rank, d, workers=workers).tolist() == want
+            for idx in indexes:
+                assert idx.argmin_rank_in_ball(rank, d).tolist() == want
 
     def test_density_memory_is_bounded(self):
         # on this cloud the density at k = 200 peaked at 2,702,147-2,706,931
@@ -565,7 +564,7 @@ class TestNearestSatisfying:
             "lattice": lambda: rng.integers(0, 9, size=(300, 2)).astype(np.float64),
             "duplicates": lambda: make_cloud_with_stems(14, 5, 20, extra=60)[:, :2],
         }[cloud]()
-        idx = SpatialIndex(pts)
+        idx, idx2 = SpatialIndex(pts), SpatialIndex(pts, 2)
         D2 = sq_dist_matrix(pts)
         for k in (1, 6, 40):
             rho, _ = idx.knn_window(k)
@@ -575,9 +574,8 @@ class TestNearestSatisfying:
             # one chunk per round, or chunks of 25 rows at 4 neighbors
             for chunk in (spatial._CHUNK_ELEMS, 100):
                 monkeypatch.setattr(spatial, "_CHUNK_ELEMS", chunk)
-                for workers in (1, 2):
-                    got = idx.nearest_below_rank(rank, reach=rho, workers=workers)
-                    assert got.tolist() == want
+                for idx_t in (idx, idx2):
+                    assert idx_t.nearest_below_rank(rank, reach=rho).tolist() == want
             assert check_reach(idx, pts, rho).tolist() == want
             d = float(np.sqrt(rho.max()))
             assert idx.nearest_below_rank(rank, d, reach=rho).tolist() == \
@@ -685,7 +683,7 @@ class TestBulkQueries:
 
     def test_nearest_below_rank_matches_brute(self, monkeypatch):
         pts = make_cloud(12, 300)
-        idx = SpatialIndex(pts)
+        indexes = [SpatialIndex(pts, workers) for workers in (1, 2, -1)]
         rng = np.random.default_rng(12)
         rank = rng.permutation(300)
         members = np.unique(rng.integers(0, 300, size=60))
@@ -698,10 +696,10 @@ class TestBulkQueries:
             # round takes chunks of 25 rows at 4 neighbors, 6 at 16, 1 from 64
             for chunk in (full, 100):
                 monkeypatch.setattr(spatial, "_CHUNK_ELEMS", chunk)
-                for workers in (1, 2, -1):
-                    assert idx.nearest_below_rank(rank, d=d, workers=workers).tolist() == want
-                    assert idx.nearest_below_rank(rank, d=d, subset=members,
-                                                  workers=workers).tolist() == want_subset
+                for idx in indexes:
+                    assert idx.nearest_below_rank(rank, d=d).tolist() == want
+                    assert idx.nearest_below_rank(rank, d=d, subset=members).tolist() == \
+                        want_subset
 
 
 def z_ranked_clouds(seed):
@@ -731,14 +729,14 @@ class TestRankOrderSkip:
             monkeypatch.setattr(spatial, "_RADIUS_BLOCK", block)
             monkeypatch.setattr(spatial, "_GROUP", group)
         for pts, radii in z_ranked_clouds(seed):
-            idx = SpatialIndex(pts)
+            idx, idx2 = SpatialIndex(pts), SpatialIndex(pts, 2)
             rank = _order_and_rank(pts[:, 2])[1]
             D2 = sq_dist_matrix(pts)
             for d in radii:
                 want = brute_argmin_rank_in_ball(D2, rank, d)
                 low = idx.argmin_rank_in_ball(rank, d)
                 assert low.tolist() == want
-                assert np.array_equal(idx.argmin_rank_in_ball(rank, d, workers=2), low)
+                assert np.array_equal(idx2.argmin_rank_in_ball(rank, d), low)
 
     def test_computes_fewer_sq_distances_than_the_balls_hold(self, monkeypatch):
         # a radius scan at d*d computes the d^2 from each block to its whole

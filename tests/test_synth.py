@@ -104,6 +104,13 @@ class TestGenerateField:
         with pytest.raises(ParameterError, match=message):
             FieldSpec(**bad).validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(FieldSpec)
+                                      if isinstance(f.default, float)])
+    def test_non_finite_float_names_its_field(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            FieldSpec(**{name: value})
+
     def test_spec_raises_when_built(self):
         with pytest.raises(ParameterError, match="grid must be at least 1x1, got 0x10"):
             FieldSpec(rows=0)

@@ -39,9 +39,9 @@ def test_all_algorithms_match_oracles_on_lattice_ties(pts, d, k, beta):
     assert np.array_equal(zqs_parents(cloud, d).parent, slow_zqs_parents(pts, d))
     density = knn_density_2d(cloud, k)
     assert np.array_equal(gdqs_parents(cloud, d, density).parent, slow_gdqs_parents(pts, d, k))
-    edges = _sweep_edges(density, 1)
+    edges = _sweep_edges(density)
     brute = DensityField(rho=density.rho, k=k, index2d=BruteIndex(pts[:, :2]))
-    for a, b in zip(edges, _sweep_edges(brute, 1), strict=True):
+    for a, b in zip(edges, _sweep_edges(brute), strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert sweep_rows(*edges) == slow_sweep_entries(pts, k)
     cores = extract_cores(cloud, density, k, beta)
