@@ -280,26 +280,30 @@ def cmd_bench(sizes, algo, d, k, beta, repeats, seed, threads, report_path):
     click.echo(f"# {algo}: median of {repeats} cluster() runs per size after one "
                "untimed warmup, I/O excluded")
     click.echo(f"{'n':>10}  {'points':>10}  {'seconds':>10}  {'ratio':>7}")
-    rows_out = []
-    prev = None
     try:
-        for n in size_list:
-            field = generate_field(_bench_spec(n, seed))
-            cluster(field, params, workers=threads)
-            times = []
-            for _ in range(repeats):
+        fields = [generate_field(_bench_spec(n, seed)) for n in size_list]
+        # an untimed warmup round, then one round per repeat. The sizes take
+        # turns in each round, so a slow phase of the machine, which can
+        # outlast all the repeats of one size, slows every size instead of
+        # skewing one doubling ratio
+        times = [[] for _ in fields]
+        for _ in range(repeats + 1):
+            for field, field_times in zip(fields, times):
                 start = time.perf_counter()
                 cluster(field, params, workers=threads)
-                times.append(time.perf_counter() - start)
-            med = statistics.median(times)
-            ratio = med / prev if prev else None
-            prev = med
-            click.echo(f"{n:>10}  {field.n:>10}  {med:>10.3f}  "
-                       + (f"{ratio:>7.2f}" if ratio else f"{'-':>7}"))
-            rows_out.append({"requested": n, "points": field.n,
-                             "seconds": med, "times": times, "ratio": ratio})
+                field_times.append(time.perf_counter() - start)
     except FieldClusterError as exc:
         _fail(exc)
+    rows_out = []
+    prev = None
+    for n, field, (_, *field_times) in zip(size_list, fields, times):
+        med = statistics.median(field_times)
+        ratio = med / prev if prev else None
+        prev = med
+        click.echo(f"{n:>10}  {field.n:>10}  {med:>10.3f}  "
+                   + (f"{ratio:>7.2f}" if ratio else f"{'-':>7}"))
+        rows_out.append({"requested": n, "points": field.n,
+                         "seconds": med, "times": field_times, "ratio": ratio})
     _write_report({**_report_head("bench", params), "repeats": repeats, "rows": rows_out},
                   report_path)
 

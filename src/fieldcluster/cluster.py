@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError, DataError, ParameterError
 from .pointcloud import PointCloud, _renumber_first_appearance
-from .spatial import SpatialIndex, _check_d, _sq_dist_cols
+from .spatial import SpatialIndex, _check_d, _check_workers, _sq_dist_cols
 
 __all__ = [
     "DensityField", "ParentForest", "CoreSet", "Params",
@@ -213,31 +213,32 @@ def _resolve_to_fixpoint(parent: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------- algorithms
 
 def rain_parents(cloud: PointCloud, d: float, *,
-                 index: SpatialIndex | None = None, workers: int = 1) -> ParentForest:
+                 index: SpatialIndex | None = None) -> ParentForest:
     """Link every point to the (z, index)-minimum of its open d-ball.
 
     The ball contains the point itself, so roots are exactly the points that
     are the lowest in their own neighborhood; (z, index) never increases along
-    an edge, which makes the forest acyclic. ``index`` reuses a prebuilt 3D
-    index over the cloud's points, with its own thread count; otherwise one
-    is built with ``workers`` threads (see ``SpatialIndex``).
+    an edge, which makes the forest acyclic. The query runs on ``index``, a
+    prebuilt 3D index over the cloud's points, and on its threads (see
+    ``SpatialIndex``); without one, a one-thread index is built.
     """
     _check_sizes(cloud, index=index)
     if index is None:
-        index = SpatialIndex(cloud.points, workers)
+        index = SpatialIndex(cloud.points)
     rank = _order_and_rank(cloud.points[:, 2])[1]
     return ParentForest(index.argmin_rank_in_ball(rank, d))
 
 
 def zqs_parents(cloud: PointCloud, d: float, *,
-                index: SpatialIndex | None = None, workers: int = 1) -> ParentForest:
+                index: SpatialIndex | None = None) -> ParentForest:
     """Quickshift with height as inverse density: link each point to its
     nearest strictly lower (z, then index) neighbor within d; roots have no
-    lower neighbor in range. ``index`` and ``workers`` are those of
-    ``rain_parents``."""
+    lower neighbor in range. ``index`` is that of ``rain_parents``: the
+    query runs on its threads, and without one a one-thread index is
+    built."""
     _check_sizes(cloud, index=index)
     if index is None:
-        index = SpatialIndex(cloud.points, workers)
+        index = SpatialIndex(cloud.points)
     nb = index.nearest_below_rank(_order_and_rank(cloud.points[:, 2])[1], d=d)
     return ParentForest(_quickshift_parents(nb))
 
@@ -408,12 +409,15 @@ def extract_cores(cloud: PointCloud, density: DensityField, k: int, beta: float)
 
 
 def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
-                  index3: SpatialIndex | None = None, workers: int = 1) -> np.ndarray:
+                  index3: SpatialIndex | None = None) -> np.ndarray:
     """Label core points by their core, then climb every remaining point through
     its nearest strictly-denser 3D neighbor (uncapped search) until a core is
-    reached. Returns labels renumbered 1..C by first appearance. ``index3``
-    reuses a prebuilt 3D index, with its own thread count; otherwise one is
-    built with ``workers`` threads (see ``SpatialIndex``)."""
+    reached. Returns labels renumbered 1..C by first appearance. The climb
+    runs on ``index3``, a prebuilt 3D index, and on its threads (see
+    ``SpatialIndex``). Without one, a 3D index is built only when some point
+    lies outside every core, and it takes the thread count of
+    ``density.index2d``, so every stage of ``gdqspp`` runs on the density's
+    threads."""
     _check_sizes(cloud, density=density, cores=cores, index3=index3)
     n = cloud.n
     if n == 0:
@@ -425,7 +429,7 @@ def gdqspp_assign(cloud: PointCloud, density: DensityField, cores: CoreSet, *,
     nb = np.full(n, -1, dtype=np.int64)
     if noncore.size:
         if index3 is None:
-            index3 = SpatialIndex(cloud.points, workers)
+            index3 = SpatialIndex(cloud.points, density.index2d._workers)
         nb = index3.nearest_below_rank(density.sweep_rank, subset=noncore)
         if (nb[noncore] < 0).any():
             raise ContractError("a non-core point has no denser point to climb to")
@@ -447,8 +451,10 @@ def forest_to_labels(forest: ParentForest) -> np.ndarray:
 def cluster(cloud: PointCloud, params: Params, workers: int = 1) -> np.ndarray:
     """Run the selected algorithm end to end, building every structure afresh;
     deterministic for fixed input and parameters. ``workers`` sets the
-    threads of every kD-tree index it builds (see ``SpatialIndex``). It is
-    the one-run case of the generator behind ``cluster_over_d``."""
+    threads of every kD-tree index it builds (see ``SpatialIndex``), and a
+    bad count raises here, even on an empty cloud. It is the one-run case of
+    the generator behind ``cluster_over_d``."""
+    _check_workers(workers)
     return next(_labels(cloud, [params], workers))
 
 
@@ -457,9 +463,10 @@ def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
     """Return an iterator over the labels of ``rain``, ``zqs`` or ``gdqs`` for
     each d of ``ds`` in order, each equal to ``cluster(cloud,
     Params(algorithm, d=d, k=k), workers)``. Every d's ``Params`` is built,
-    and so checked, by this call: a bad algorithm, d or k raises here, before
-    any index or density is built. A bad algorithm, or a bad or missing k,
-    raises even when ``ds`` is empty.
+    and so checked, by this call: a bad algorithm, d, k or thread count
+    raises here, before any index or density is built. A bad algorithm, a
+    bad or missing k, or a bad thread count raises even when ``ds`` is
+    empty.
 
     What does not depend on d is built once, at the first labels: the 3D
     index of ``rain`` and ``zqs``, and the 2D k-NN density of ``gdqs``.
@@ -469,7 +476,8 @@ def cluster_over_d(cloud: PointCloud, algorithm: str, ds: Iterable[float],
     nearest within a smaller one if it lies inside it, and otherwise no
     lower-ranked point does. So each d's parents are the found links shorter
     than d, on the exact d^2 that the query itself compares."""
-    # an empty ds still checks the algorithm and k
+    # an empty ds still checks the thread count, the algorithm and k
+    _check_workers(workers)
     Params(algorithm, d=1.0, k=k)
     return _labels(cloud, [Params(algorithm, d=d, k=k) for d in ds], workers)
 
@@ -488,7 +496,7 @@ def _labels(cloud: PointCloud, runs: list[Params], workers: int) -> Iterator[np.
         density = knn_density_2d(cloud, k, workers)
         for p in runs:
             cores = extract_cores(cloud, density, k, p.beta)
-            yield gdqspp_assign(cloud, density, cores, workers=workers)
+            yield gdqspp_assign(cloud, density, cores)
     elif algo == "rain":
         index = SpatialIndex(cloud.points, workers)
         for p in runs:
@@ -499,7 +507,7 @@ def _labels(cloud: PointCloud, runs: list[Params], workers: int) -> Iterator[np.
             parent = gdqs_parents(cloud, d, knn_density_2d(cloud, k, workers)).parent
             points = cloud.points[:, :2]
         else:
-            parent = zqs_parents(cloud, d, workers=workers).parent
+            parent = zqs_parents(cloud, d, index=SpatialIndex(cloud.points, workers)).parent
             points = cloud.points
         # the exact d^2 from each point to its parent, summed as the query sums it
         d2 = _sq_dist_cols(tuple(points.T), parent[:, None], np.arange(n))[:, 0]

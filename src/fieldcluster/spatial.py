@@ -23,17 +23,16 @@ candidates within its own radius of its centre. The block scans
 from the block to those candidates. The k-NN radius and the (k+2)-point
 windows of the density (``knn_window``) are order statistics of them, and
 the density reads each block's radius off its super-block's ball, without a
-tree k-NN query per block; ``radius_scan`` hands them to the caller's
-step, which filters them and keeps only what the quickshift++ core sweep
-needs: one key per other link tree in its k-NN balls
-(``directed_radius_lists``, which first drops the candidates that no row of
-a block can keep). The lowest-rank-in-ball search (``argmin_rank_in_ball``)
-instead sorts each block's candidates by rank; each row skips those whose
-running maximum of z lies d below it and stops at its first candidate
-strictly inside d. All are exact with ties and duplicates, without a
-per-point neighbor heap. The cost of the block scans grows with the number
-of points in a ball; the lowest-rank search reads few more than a row needs
-when the rank follows z.
+tree k-NN query per block. The quickshift++ core sweep's entries
+(``directed_radius_lists``) filter them and keep only one key per other link
+tree in each point's k-NN ball, after each block drops the candidates that
+none of its rows can keep. The lowest-rank-in-ball search
+(``argmin_rank_in_ball``) instead sorts each block's candidates by rank;
+each row skips those whose running maximum of z lies d below it and stops
+at its first candidate strictly inside d. All are exact with ties and
+duplicates, without a per-point neighbor heap. The cost of the block scans
+grows with the number of points in a ball; the lowest-rank search reads few
+more than a row needs when the rank follows z.
 
 The second, the nearest-below-rank search, grows per-point windows (the kk
 nearest points, self included, with their exact squared distances, from one
@@ -69,7 +68,7 @@ _MAX_WORKERS = 256
 # a heap whose layout, and so the peak memory, depends on earlier frees
 _CHUNK_ELEMS = 4_400_000
 # _block_groups: the kD-tree's subtrees of at most _BLOCK points (knn_window)
-# or _RADIUS_BLOCK points (radius_scan, argmin_rank_in_ball) are scanned as
+# or _RADIUS_BLOCK points (_radius_scan, argmin_rank_in_ball) are scanned as
 # blocks, each against one candidate set, and a thread takes the super-blocks
 # of about _GROUP consecutive blocks at a time. The radius ball reaches one
 # block radius past the rows, the density's two, and its steps partition
@@ -104,6 +103,17 @@ def _check_d(d: float) -> None:
         raise ParameterError(f"d must be positive and d*d must not underflow to 0, got {d}")
 
 
+def _check_workers(workers: int) -> int:
+    """The thread count that ``workers`` asks for: an integer from 1 to
+    ``_MAX_WORKERS``, or -1 for one per CPU up to that bound; anything else
+    raises. The package's one check of a thread count."""
+    threads = min(os.cpu_count() or 1, _MAX_WORKERS) if workers == -1 else workers
+    if not 1 <= threads <= _MAX_WORKERS or int(threads) != threads:
+        raise ParameterError(
+            f"workers must be -1 or an integer in [1, {_MAX_WORKERS}], got {workers}")
+    return int(threads)
+
+
 def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray,
                   at: tuple | None = None) -> np.ndarray:
     """Exact squared distances from point sub[r] to the points idx[r] (a 2D
@@ -135,20 +145,17 @@ def _sq_dist_cols(cols: tuple, idx: np.ndarray, sub: np.ndarray,
 class SpatialIndex:
     """Balanced kD-tree over a read-only private copy of 2D or 3D coordinates.
 
-    ``workers`` is the index's thread count: an integer from 1 to
-    ``_MAX_WORKERS``, or -1 for one per CPU up to that bound. Every query of
-    the index runs on its threads, and no result depends on them: the block
-    scans thread over groups of super-blocks, the calling thread among them,
-    and the nearest-below-rank search hands the count to the tree query that
-    fetches each round's windows, which takes most of its time.
+    ``workers`` is the index's thread count, as ``_check_workers`` reads it:
+    an integer from 1 to ``_MAX_WORKERS``, or -1 for one per CPU up to that
+    bound. Every query of the index runs on its threads, and no result
+    depends on them: the block scans thread over groups of super-blocks, the
+    calling thread among them, and the nearest-below-rank search hands the
+    count to the tree query that fetches each round's windows, which takes
+    most of its time.
     """
 
     def __init__(self, points: np.ndarray, workers: int = 1):
-        threads = min(os.cpu_count() or 1, _MAX_WORKERS) if workers == -1 else workers
-        if not 1 <= threads <= _MAX_WORKERS or int(threads) != threads:
-            raise ParameterError(
-                f"workers must be -1 or an integer in [1, {_MAX_WORKERS}], got {workers}")
-        self._workers = int(threads)
+        self._workers = _check_workers(workers)
         self.points = pts = _checked_points(points, (2, 3))
         self.n = pts.shape[0]
         # per-axis views: gathers from them run as fast as from contiguous
@@ -372,7 +379,7 @@ class SpatialIndex:
         self._block_scan(_BLOCK, reach, step)
         return rho, win
 
-    def radius_scan(self, rho: np.ndarray, step, *, keep=None) -> None:
+    def _radius_scan(self, rho: np.ndarray, step, *, keep=None) -> None:
         """Scan every point's ball of squared radius rho[i] in row chunks:
         ``step(sub, cand, d2)`` gets the exact squared distances d2[r] from
         point sub[r] to the candidates ``cand``, which hold every j with
@@ -399,7 +406,7 @@ class SpatialIndex:
         neighbors within its own radius, {j : rank[j] < rank[i], dist^2(i, j)
         <= rho[i]}, each mutual iff one of those j in it has dist^2(i, j) <=
         rho[j] as well. Returns (offsets, flat, mutual), rows and groups
-        ascending. A ``radius_scan``: the result does not depend on its
+        ascending. A ``_radius_scan``: the result does not depend on its
         order, and with one group per point it is the full lists.
 
         An entry is one int64 key, (i * n + g) * 2 + 1 unless mutual, which
@@ -429,7 +436,7 @@ class SpatialIndex:
             key = np.unique((sub[r] * n + group[j]) * 2 + (d2[r, c] > rho[j]))
             keys.append(key[np.diff(key >> 1, prepend=-1) != 0])
 
-        self.radius_scan(rho, step, keep=keep)
+        self._radius_scan(rho, step, keep=keep)
         key = np.sort(np.concatenate(keys))
         owner, flat = np.divmod(key >> 1, n)
         offsets = np.searchsorted(owner, np.arange(n + 1))
@@ -443,7 +450,7 @@ class SpatialIndex:
         rank must be a permutation of 0..n-1 (a strict total order); the ball
         always contains the point itself, so the result is total.
 
-        The blocks are those of ``radius_scan`` at squared radius d*d, so each
+        The blocks are those of ``_radius_scan`` at squared radius d*d, so each
         block's candidates hold every point within d of its rows. Each group
         of blocks joins its candidates into one array and sorts one int64
         key per candidate, block * n + rank, so each block's candidates come

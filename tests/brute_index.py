@@ -25,7 +25,7 @@ class BruteIndex:
             idx = np.argsort(self._d2, axis=1, kind="stable")[:, :kq].astype(np.int32)
         return rho, idx
 
-    def radius_scan(self, rho, step, *, keep=None):
+    def _radius_scan(self, rho, step, *, keep=None):
         # one chunk: every point against every point, none of them dropped
         step(np.arange(self.n), np.arange(self.n), self._d2)
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import statistics
@@ -309,6 +310,23 @@ class TestBench:
         assert result.exit_code == 2
         assert "--threads" in result.output
 
+    def test_sizes_take_turns_within_each_repeat(self, runner, monkeypatch):
+        # every size is made and warmed up first; then each repeat times
+        # every size in turn, so a slow phase of the machine hits them all
+        timed = []
+
+        def counted(field, *args, **kwargs):
+            timed.append(field.n)
+            return cluster(field, *args, **kwargs)
+
+        cluster = cli.cluster
+        monkeypatch.setattr(cli, "cluster", counted)
+        result = runner.invoke(main, ["bench", "--sizes", "1000,2000", "--algo", "zqs",
+                                      "--d", "0.1", "--repeats", "2"])
+        assert result.exit_code == 0, result.output
+        small, large = (int(line.split()[1]) for line in result.output.splitlines()[2:])
+        assert timed == [small, large] * 3
+
     def test_sizes_must_be_integers(self, runner):
         result = runner.invoke(main, ["bench", "--sizes", "1000,abc", "--algo", "zqs",
                                       "--d", "0.1"])
@@ -366,6 +384,22 @@ def test_public_names_are_pinned():
         "gdqs_parents", "gdqspp_assign", "generate_field", "knn_density_2d", "load_ply",
         "match_clusters", "parse_field_spec", "rain_parents", "save_ply", "zqs_parents",
     ]
+
+
+def test_threads_are_set_where_a_run_starts():
+    # the step functions run on the index they are given, whose thread count
+    # was set when it was built
+    takes_workers = sorted(
+        name for name in fieldcluster.__all__
+        if callable(obj := getattr(fieldcluster, name))
+        # the exception classes have no signature
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+        and "workers" in inspect.signature(obj).parameters)
+    assert takes_workers == ["SpatialIndex", "cluster", "cluster_over_d", "knn_density_2d"]
+    # the index's public queries are the four that the algorithms ask
+    assert sorted(name for name in vars(fieldcluster.SpatialIndex)
+                  if not name.startswith("_")) == [
+        "argmin_rank_in_ball", "directed_radius_lists", "knn_window", "nearest_below_rank"]
 
 
 def _scipy_loaded_after(code: str) -> str:

@@ -247,7 +247,7 @@ class TestExtractCores:
         dens = knn_density_2d(cloud, 8)
         want_edges = _sweep_edges(dens)
         want = extract_cores(cloud, dens, 8, beta)
-        scan = SpatialIndex.radius_scan
+        scan = SpatialIndex._radius_scan
         rng = np.random.default_rng(25)
         moved = []
 
@@ -258,7 +258,7 @@ class TestExtractCores:
                 step(sub, cand[perm], d2[:, perm])
             scan(self, rho, permuted, keep=keep)
 
-        monkeypatch.setattr(SpatialIndex, "radius_scan", shuffled)
+        monkeypatch.setattr(SpatialIndex, "_radius_scan", shuffled)
         for _ in range(5):
             for a, b in zip(_sweep_edges(dens), want_edges, strict=True):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -274,7 +274,7 @@ class TestExtractCores:
         # At k = 40 two of the 16 blocks lie in one of the 9 link trees
         dens = knn_density_2d(PointCloud(make_cloud(26, 600)), 40)
         rank = dens.sweep_rank
-        scan = SpatialIndex.radius_scan
+        scan = SpatialIndex._radius_scan
         blocks = []
 
         def spy(self, rho, step, *, keep=None):
@@ -284,7 +284,7 @@ class TestExtractCores:
                 step(sub, cand, d2)
             scan(self, rho, recorded, keep=keep if cut else None)
 
-        monkeypatch.setattr(SpatialIndex, "radius_scan", spy)
+        monkeypatch.setattr(SpatialIndex, "_radius_scan", spy)
         edges, later, same_tree = {}, {}, {}
         for cut in (True, False):
             blocks.clear()
@@ -538,16 +538,46 @@ class TestClusterDispatch:
                 with pytest.raises(ParameterError, match="workers"):
                     cluster(cloud, params, workers=workers)
 
+    @pytest.mark.parametrize("workers", [0, spatial._MAX_WORKERS + 1, 10 ** 6])
+    def test_thread_count_checked_on_an_empty_cloud(self, monkeypatch, workers):
+        # no index is built there, so the call itself checks the count
+        built = []
+        monkeypatch.setattr(SpatialIndex, "__init__", lambda *args: built.append(args))
+        empty = PointCloud(np.empty((0, 3)))
+        for params in (Params("rain", d=1.0), Params("zqs", d=1.0),
+                       Params("gdqs", d=1.0, k=3), Params("gdqspp", k=3, beta=0.3)):
+            with pytest.raises(ParameterError, match="workers"):
+                cluster(empty, params, workers=workers)
+        assert built == []
+
+    def test_every_index_takes_the_run_thread_count(self, monkeypatch):
+        # the gdqspp climb's 3D index takes the density's threads
+        built = []
+        init = SpatialIndex.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append((self.points.shape[1], self._workers))
+
+        monkeypatch.setattr(SpatialIndex, "__init__", spy)
+        cloud = PointCloud(make_cloud(26, 600))
+        for params, dims in ((Params("rain", d=0.3), [3]), (Params("zqs", d=0.3), [3]),
+                             (Params("gdqs", d=0.3, k=8), [2]),
+                             (Params("gdqspp", k=8, beta=0.3), [2, 3])):
+            built.clear()
+            cluster(cloud, params, workers=2)
+            assert built == [(dim, 2) for dim in dims]
+
     def test_gdqspp_makes_one_radius_scan(self, monkeypatch):
         # the links come from window growth; only the entries need a scan
-        scan = SpatialIndex.radius_scan
+        scan = SpatialIndex._radius_scan
         calls = []
 
         def counted(self, *args, **kwargs):
             calls.append(self.n)
             scan(self, *args, **kwargs)
 
-        monkeypatch.setattr(SpatialIndex, "radius_scan", counted)
+        monkeypatch.setattr(SpatialIndex, "_radius_scan", counted)
         cluster(PointCloud(make_cloud(26, 600)), Params("gdqspp", k=8, beta=0.3))
         assert calls == [600]
 
@@ -650,6 +680,18 @@ class TestClusterOverD:
         calls = self.spy_builds(monkeypatch)
         k = 8 if algo == "gdqs" else None
         assert list(cluster_over_d(cloud, algo, [], k)) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [0, spatial._MAX_WORKERS + 1, 10 ** 6])
+    @pytest.mark.parametrize("algo,k", [("rain", None), ("zqs", None), ("gdqs", 8),
+                                        ("gdqspp", 8)])
+    def test_bad_thread_count_raises_on_an_empty_sweep(self, monkeypatch, algo, k, workers):
+        # checked first, before the algorithm, and on an empty cloud too
+        calls = self.spy_builds(monkeypatch)
+        for cloud, ds in ((PointCloud(make_cloud(32, 300)), []),
+                          (PointCloud(np.empty((0, 3))), self.DS)):
+            with pytest.raises(ParameterError, match="workers"):
+                cluster_over_d(cloud, algo, ds, k, workers=workers)
         assert calls == []
 
     @pytest.mark.parametrize("algo,k", [("bogus", None), ("gdqs", -5), ("gdqs", None),

@@ -246,7 +246,7 @@ def check_knn_window(pts, ks):
 
 
 def check_radius_scan(idx, D2, rho):
-    """radius_scan under rho against the dense matrix: the chunks' rows cover
+    """_radius_scan under rho against the dense matrix: the chunks' rows cover
     every point once, each chunk's d2 is bit-equal to the matrix, and its
     candidates hold every j with D2[i, j] <= rho[i], ties at rho included."""
     seen = []
@@ -260,7 +260,7 @@ def check_radius_scan(idx, D2, rho):
                               np.count_nonzero(D2[sub] <= ball, axis=1))
         seen.append(sub)
 
-    idx.radius_scan(rho, step)
+    idx._radius_scan(rho, step)
     assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(len(rho)))
 
 
@@ -298,7 +298,7 @@ def check_directed_lists(idx, D2, rho):
 
 
 class TestBlockScan:
-    """knn_window, radius_scan and the core sweep's entries on clouds that
+    """knn_window, _radius_scan and the core sweep's entries on clouds that
     stress their blocks and candidate balls."""
 
     @pytest.mark.parametrize("dims", [2, 3])
@@ -394,7 +394,8 @@ class TestBlockScan:
         idx = SpatialIndex(make_cloud(58, 300, dims=2))
         assert idx._blocks(spatial._RADIUS_BLOCK).size - 1 >= 4
         callers = set()
-        idx.radius_scan(np.full(300, 0.01), lambda sub, cand, d2: callers.add(threading.get_ident()))
+        idx._radius_scan(np.full(300, 0.01),
+                         lambda sub, cand, d2: callers.add(threading.get_ident()))
         assert callers == {threading.get_ident()}
 
     def test_row_chunks_split_a_block(self, monkeypatch):
@@ -755,7 +756,7 @@ class TestRankOrderSkip:
         monkeypatch.setattr(spatial, "_sq_dist_cols", counted)
         for d in (0.1, 0.3):
             count[0] = 0
-            idx.radius_scan(np.full(3000, d * d), lambda sub, cand, d2: None)
+            idx._radius_scan(np.full(3000, d * d), lambda sub, cand, d2: None)
             balls = count[0]
             count[0] = 0
             idx.argmin_rank_in_ball(rank, d)

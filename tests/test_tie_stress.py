@@ -2,9 +2,12 @@
 duplicated points, at radii equal to lattice distances. Squared distances
 then tie exactly with each other, with the squared radius and with the k-NN
 radius, so the window loops hit their exact-tie branches: a candidate at the
-window's farthest distance, and a window that ends exactly on the ball's edge."""
+window's farthest distance, and a window that ends exactly on the ball's edge.
+The same checks run on clouds with one coincident group larger than a block
+and than a window round."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldcluster import DensityField, Params, PointCloud, cluster, extract_cores, knn_density_2d
@@ -21,19 +24,9 @@ from oracles import (
 )
 
 
-@st.composite
-def lattice_clouds(draw):
-    site = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
-    sites = draw(st.lists(site, min_size=4, max_size=30))
-    copies = draw(st.lists(st.integers(0, len(sites) - 1), max_size=10))
-    return np.asarray(sites + [sites[i] for i in copies], dtype=np.float64)
-
-
-@settings(max_examples=250, deadline=None)
-@given(pts=lattice_clouds(), d=st.sampled_from([1.0, np.sqrt(2.0), 2.0]),
-       k=st.integers(1, 8), beta=st.sampled_from([0.0, 0.15, 0.3, 0.7, 1.0]))
-def test_all_algorithms_match_oracles_on_lattice_ties(pts, d, k, beta):
-    k = min(k, len(pts) - 1)
+def check_against_oracles(pts, d, k, beta):
+    """Every algorithm, and the core sweep's edges over the kD-tree and over
+    ``BruteIndex``, against the O(n^2) oracles."""
     cloud = PointCloud(pts)
     assert np.array_equal(rain_parents(cloud, d).parent, slow_rain_parents(pts, d))
     assert np.array_equal(zqs_parents(cloud, d).parent, slow_zqs_parents(pts, d))
@@ -50,3 +43,36 @@ def test_all_algorithms_match_oracles_on_lattice_ties(pts, d, k, beta):
     assert cores.mode_indices.tolist() == want_modes
     assert np.array_equal(cluster(cloud, Params("gdqspp", k=k, beta=beta)),
                           slow_gdqspp_labels(pts, k, beta))
+
+
+@st.composite
+def lattice_clouds(draw):
+    site = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
+    sites = draw(st.lists(site, min_size=4, max_size=30))
+    copies = draw(st.lists(st.integers(0, len(sites) - 1), max_size=10))
+    return np.asarray(sites + [sites[i] for i in copies], dtype=np.float64)
+
+
+@settings(max_examples=250, deadline=None)
+@given(pts=lattice_clouds(), d=st.sampled_from([1.0, np.sqrt(2.0), 2.0]),
+       k=st.integers(1, 8), beta=st.sampled_from([0.0, 0.15, 0.3, 0.7, 1.0]))
+def test_all_algorithms_match_oracles_on_lattice_ties(pts, d, k, beta):
+    check_against_oracles(pts, d, min(k, len(pts) - 1), beta)
+
+
+def _uniform_plus_group(kind: str) -> np.ndarray:
+    """400 uniform points plus 300 copies of one of them, or plus a column of
+    300 points that share one (x, y) and differ in z."""
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(0.0, 2.0, size=(400, 3))
+    group = np.repeat(pts[:1], 300, axis=0)
+    if kind == "column":
+        group[:, 2] = rng.uniform(0.0, 2.0, size=300)
+    return rng.permutation(np.concatenate([pts, group]))
+
+
+@pytest.mark.parametrize("kind", ["copies", "column"])
+def test_all_algorithms_match_oracles_on_a_large_coincident_group(kind):
+    # the group outgrows a block and the 256-point window round, so every
+    # search must grow past coincident points to certify its answer
+    check_against_oracles(_uniform_plus_group(kind), 0.3, 8, 0.3)
