@@ -1,10 +1,11 @@
 """Command-line entry point: cluster, eval, synth, and bench subcommands.
 
 Data and JSON reports go to stdout or files; diagnostics go to stderr. The
-exit status is 0 iff no error was reported. ``--threads`` sets the threads
-of every kD-tree index the command builds, and never changes any output
-byte. ``eval --sweep-d`` answers every d of a zqs or gdqs sweep from one
-nearest-below-rank query, at the largest d.
+exit status is 0 on success; 1 on an error, file errors included, reported as
+one ``error:`` line on stderr; and 2 on a usage error. ``--threads`` sets the
+threads of every kD-tree index the command builds, and never changes any
+output byte. ``eval --sweep-d`` answers every d of a zqs or gdqs sweep from
+one nearest-below-rank query, at the largest d.
 """
 
 from __future__ import annotations
@@ -65,12 +66,21 @@ def _write_report(doc: dict, path: str | None) -> None:
         Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+class _Main(click.Group):
+    """The one error exit of every command: a FieldClusterError or an OSError
+    becomes one ``error:`` line on stderr and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click exits 1 quietly when stdout's reader has gone
+        except (FieldClusterError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="fieldcluster")
 def main() -> None:
     """Partition crop-field point clouds into per-plant clusters."""
@@ -91,14 +101,11 @@ def main() -> None:
 def cmd_cluster(input_ply, output_ply, algo, d, k, beta, binary, threads, report_path):
     """Cluster INPUT_PLY and write the labeled cloud to OUTPUT_PLY."""
     params = _build_params(algo, d, k, beta)
-    try:
-        cloud = load_ply(input_ply)
-        start = time.perf_counter()
-        labels = cluster(cloud, params, workers=threads)
-        elapsed = time.perf_counter() - start
-        save_ply(cloud, labels, output_ply, binary=binary)
-    except FieldClusterError as exc:
-        _fail(exc)
+    cloud = load_ply(input_ply)
+    start = time.perf_counter()
+    labels = cluster(cloud, params, workers=threads)
+    elapsed = time.perf_counter() - start
+    save_ply(cloud, labels, output_ply, binary=binary)
     n_clusters = int(labels.max()) if labels.size else 0
     click.echo(f"clusters: {n_clusters}  points: {cloud.n}  time: {elapsed:.3f}s")
     _write_report({**_report_head("cluster", params), "points": cloud.n,
@@ -164,26 +171,21 @@ def cmd_eval(pred_ply, truth_ply, ignore_ground, distinct_colors, report_path,
     if sweep_d is None:
         if algo is not None or k is not None:
             raise click.UsageError("--algo and --k apply only with --sweep-d")
+        pred = _require_labels(pred_ply, "palette")
+        truth = _truth_for(pred, truth_ply, truth_mode)
+        match = match_clusters(pred.labels, truth.labels,
+                               ignore_truth_label_zero=ignore_ground)
+        counts = count_report(pred.labels, truth.labels)
+        doc = {"schema": 1, "command": "eval",
+               "match": match.to_dict(), "counts": counts.to_dict()}
     else:
         if algo is None:
             raise click.UsageError("--sweep-d requires --algo")
         values = _parse_sweep(sweep_d)
         # every d of the sweep is valid iff the first, the smallest, is
         k = _build_params(algo, values[0], k, None).k
-    try:
-        if sweep_d is None:
-            pred = _require_labels(pred_ply, "palette")
-            truth = _truth_for(pred, truth_ply, truth_mode)
-            match = match_clusters(pred.labels, truth.labels,
-                                   ignore_truth_label_zero=ignore_ground)
-            counts = count_report(pred.labels, truth.labels)
-            doc = {"schema": 1, "command": "eval",
-                   "match": match.to_dict(), "counts": counts.to_dict()}
-        else:
-            doc = _run_sweep(pred_ply, truth_ply, truth_mode, ignore_ground,
-                             values, algo, k, threads)
-    except FieldClusterError as exc:
-        _fail(exc)
+        doc = _run_sweep(pred_ply, truth_ply, truth_mode, ignore_ground,
+                         values, algo, k, threads)
     text = json.dumps(doc, indent=2)
     click.echo(text)
     _write_report(doc, report_path)
@@ -236,11 +238,10 @@ def cmd_synth(output_ply, config_path, binary, **flags):
             spec = FieldSpec(**{**spec.__dict__, **overrides})
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from None
-    try:
-        field = generate_field(spec)
-        save_ply(field, field.labels, output_ply, binary=binary)
-    except FieldClusterError as exc:
-        _fail(exc)
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"{config_path}: {exc}") from None
+    field = generate_field(spec)
+    save_ply(field, field.labels, output_ply, binary=binary)
     n_plants = int(field.labels.max()) if field.n else 0
     click.echo(f"plants: {n_plants}  points: {field.n}")
 
@@ -280,20 +281,17 @@ def cmd_bench(sizes, algo, d, k, beta, repeats, seed, threads, report_path):
     click.echo(f"# {algo}: median of {repeats} cluster() runs per size after one "
                "untimed warmup, I/O excluded")
     click.echo(f"{'n':>10}  {'points':>10}  {'seconds':>10}  {'ratio':>7}")
-    try:
-        fields = [generate_field(_bench_spec(n, seed)) for n in size_list]
-        # an untimed warmup round, then one round per repeat. The sizes take
-        # turns in each round, so a slow phase of the machine, which can
-        # outlast all the repeats of one size, slows every size instead of
-        # skewing one doubling ratio
-        times = [[] for _ in fields]
-        for _ in range(repeats + 1):
-            for field, field_times in zip(fields, times):
-                start = time.perf_counter()
-                cluster(field, params, workers=threads)
-                field_times.append(time.perf_counter() - start)
-    except FieldClusterError as exc:
-        _fail(exc)
+    fields = [generate_field(_bench_spec(n, seed)) for n in size_list]
+    # an untimed warmup round, then one round per repeat. The sizes take
+    # turns in each round, so a slow phase of the machine, which can
+    # outlast all the repeats of one size, slows every size instead of
+    # skewing one doubling ratio
+    times = [[] for _ in fields]
+    for _ in range(repeats + 1):
+        for field, field_times in zip(fields, times):
+            start = time.perf_counter()
+            cluster(field, params, workers=threads)
+            field_times.append(time.perf_counter() - start)
     rows_out = []
     prev = None
     for n, field, (_, *field_times) in zip(size_list, fields, times):

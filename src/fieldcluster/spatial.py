@@ -76,12 +76,14 @@ _CHUNK_ELEMS = 4_400_000
 # gdqspp core sweep's radius scans (then two, for its links and its
 # entries) took 0.9 s on the reference field at k = 64, against 1.2 s with
 # blocks of 32 and 1.1-1.4 s with 128, and about as long as either at
-# k = 500 and 1200 (two runs each). The density keeps 32 for its memory:
-# with blocks of 64, knn_window gave the same rho and was no slower at two
-# threads (k = 500: 0.82-0.87 s against 0.87-1.03 s; k = 1200: 1.30-1.39 s
-# against 1.53-1.70 s), but the CLI's max RSS rose, in 3 alternated pairs, from
-# 124-125 to 131-133 MiB for gdqspp at k = 500 and from 107-113 to 121-122 MiB
-# for a gdqs eval --sweep-d
+# k = 500 and 1200 (two runs each). The density keeps 32 for its traced
+# peak: with blocks of 64, knn_window(200) on the 20,000-point cloud of
+# test_density_memory_is_bounded peaked at 2,834,365 bytes, above that test's
+# 2,700,000 gate, against 2,043,229 with 32. The CLI gained little from 64:
+# in 4 alternated pairs on the reference field at two threads, 32 against 64,
+# gdqspp at k = 500 read 113-117 against 118 MiB max RSS and 2.1-2.7 against
+# 2.2-2.3 s, and a gdqs eval --sweep-d 108-109 against 109-110 MiB and
+# 1.4-1.6 s on both, with byte-identical outputs
 _BLOCK = 32
 _RADIUS_BLOCK = 64
 _GROUP = 64
@@ -191,9 +193,9 @@ class SpatialIndex:
         (or a leaf of coincident points, see ``_blocks``), and the
         super-blocks those with at most ``_SUPER`` * ``size``. Both are
         subtrees over one tree order, so each block lies inside exactly one
-        super-block. ``reach(centre, far, block_max, near)`` gives the
-        candidate radii of boxes from the centres of their bounding boxes,
-        the distance ``far`` from each centre to its farthest point,
+        super-block. ``reach(far, block_max, near)`` gives the candidate
+        radii of boxes about the centres of their bounding boxes from the
+        distance ``far`` from each centre to its farthest point,
         ``block_max(values)``, the per-box maximum of a value per point, and
         ``near(kq)``, a bound on the distance from each centre to its kq-th
         nearest point. Each super-block's ball comes from one
@@ -250,7 +252,7 @@ class SpatialIndex:
                                                       bounds[:-1] - bounds[0])
 
         top_centre, top_far = boxes(tops)
-        top_radius = reach(top_centre, top_far, box_max(tops), lambda kq: self._tree.query(
+        top_radius = reach(top_far, box_max(tops), lambda kq: self._tree.query(
             top_centre, k=[kq], workers=self._workers)[0][:, 0])
         centre, far = boxes(starts)
         centre_cols = tuple(centre.T)
@@ -270,7 +272,7 @@ class SpatialIndex:
                 for lo_b in range(own[t], own[t + 1], chunk):
                     b = np.arange(lo_b, min(lo_b + chunk, own[t + 1]))
                     d2 = _sq_dist_cols(self._cols, cand, b, centre_cols)
-                    radius = reach(centre[b], far[b], box_max(starts[b[0]:b[-1] + 2]),
+                    radius = reach(far[b], box_max(starts[b[0]:b[-1] + 2]),
                                    lambda kq: np.sqrt(np.partition(d2, kq - 1, axis=1)[:, kq - 1]))
                     inside = d2 <= (radius * radius)[:, None]
                     del d2
@@ -365,7 +367,7 @@ class SpatialIndex:
         rho = np.empty(self.n, dtype=np.float64)
         win = np.empty((self.n, kq), dtype=np.int32) if return_indices else None
 
-        def reach(centre, far, block_max, near):
+        def reach(far, block_max, near):
             return (2 * far + near(kq)) * _BOUND_SLACK
 
         def step(sub, cand, d2):
@@ -395,7 +397,7 @@ class SpatialIndex:
         """
         root = np.sqrt(rho)
 
-        def reach(centre, far, block_max, near):
+        def reach(far, block_max, near):
             return (far + block_max(root)) * _BOUND_SLACK
 
         self._block_scan(_RADIUS_BLOCK, reach, step, keep)
@@ -525,7 +527,7 @@ class SpatialIndex:
                     sub, col0, last = sub[~found], col0[~found] + width, last[~found]
                     width *= 2
 
-        def reach(centre, far, block_max, near):
+        def reach(far, block_max, near):
             return (far + d) * _BOUND_SLACK
 
         self._block_groups(_RADIUS_BLOCK, reach, scan)

@@ -12,7 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import fieldcluster
-from fieldcluster import FieldSpec, PointCloud, cli, load_ply, save_ply, spatial
+from fieldcluster import (FieldSpec, PointCloud, cli, generate_field, load_ply, save_ply,
+                          spatial)
 from fieldcluster.cli import main
 
 
@@ -87,6 +88,13 @@ class TestSynth:
                                       "--config", str(cfg), "--rows", "2"])
         assert result.exit_code == 2
         assert "grid must be at least 1x1, got 0x2" in result.output
+
+    def test_config_not_utf8_usage_error(self, tmp_path, runner):
+        cfg = tmp_path / "field.cfg"
+        cfg.write_bytes(b"\xff\xfe rows = 2\n")
+        result = runner.invoke(main, ["synth", str(tmp_path / "f.ply"), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"{cfg}: " in result.output
 
 
 class TestCluster:
@@ -366,6 +374,44 @@ def test_threads_above_the_bound_usage_error(small_field, tmp_path, runner, monk
     result = runner.invoke(main, args + ["--threads", threads])
     assert result.exit_code == 2
     assert "--threads" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["cluster", "{field}", "{missing}", "--algo", "zqs", "--d", "0.2"],
+    ["cluster", "{field}", "{out}", "--algo", "zqs", "--d", "0.2", "--report", "{missing}"],
+    ["eval", "{field}", "{field}", "--report", "{missing}"],
+    ["synth", "{missing}", "--rows", "1", "--cols", "1", "--points-per-plant", "10"],
+    ["bench", "--sizes", "500", "--algo", "zqs", "--d", "0.1", "--repeats", "1",
+     "--report", "{missing}"],
+], ids=["cluster", "cluster-report", "eval-report", "synth", "bench-report"])
+def test_file_error_is_one_error_line(small_field, tmp_path, runner, args):
+    missing = tmp_path / "no-such-dir" / "out"
+    args = [a.format(field=small_field, out=tmp_path / "o.ply", missing=missing)
+            for a in args]
+    result = runner.invoke(main, args)
+    # an uncaught OSError would leave exit code 1 too, with the error in
+    # result.exception and a traceback instead of the error line
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+    assert errors == [f"error: [Errno 2] No such file or directory: '{missing}'"]
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # click's own exit when stdout's reader has gone: status 1 and no error
+    # line. The report must outgrow the pipe's buffer, so the write fails
+    field = tmp_path / "field.ply"
+    cloud = generate_field(FieldSpec(rows=40, cols=40, points_per_plant=5))
+    save_ply(cloud, cloud.labels, field, binary=True)
+    src = str(Path(fieldcluster.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # with an unbuffered stdout, the child saw no broken pipe and exited 0
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen([sys.executable, "-m", "fieldcluster.cli", "eval",
+                           str(field), str(field)], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.read(1)
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 1)
 
 
 def test_version(runner):

@@ -37,6 +37,15 @@ class TestGeneratePlant:
         b = generate_plant(spec, _rng(9, 3), (0.0, 0.0))
         assert a.tobytes() == b.tobytes()
 
+    def test_one_leaf_attaches_at_sixty_percent_of_the_stem(self):
+        spec = FieldSpec(rows=1, cols=1, leaf_count=1, noise_sigma=0.0, position_jitter=0.0)
+        field = generate_field(spec)
+        assert field.n == spec.points_per_plant
+        # the stem's 40% of the points come first; the leaf's first point
+        # lies where it attaches, within 3% of the stem's height around 60%
+        n_stem = round(spec.points_per_plant * 0.4)
+        assert 0.57 <= field.points[n_stem, 2] / spec.stem_height <= 0.63
+
 
 class TestGenerateField:
     def test_label_set_without_ground(self):
